@@ -17,6 +17,7 @@
 #include "Common.h"
 
 #include "automata/Nfa.h"
+#include "base/Budget.h"
 #include "lia/Solver.h"
 #include "tagaut/Encoder.h"
 #include "tagaut/Parikh.h"
@@ -123,18 +124,14 @@ uint64_t solveRep(uint32_t Rep) {
   lia::Arena A;
   tagaut::ParikhFormula Pf =
       buildParikhFormula(Ta, A, "b.", tagaut::SpanMode::Eager);
+  Budget Bud(Budget::Limits{20000});
   lia::QfOptions Opts;
-  Opts.TimeoutMs = 20000;
+  Opts.Budget = &Bud;
   lia::QfResult R = lia::solveQF(A, Pf.Formula, Opts);
   SolveCounters += R.Stats;
   return static_cast<uint64_t>(R.V == Verdict::Sat ? 1 : 0);
 }
 
-/// One disjunct-pool rep: the word-equation-heavy thefuck instances fan
-/// out into 20–148 decompositions each, which is what the pool
-/// parallelizes. Timeouts are generous so verdicts — and therefore the
-/// checksum — are identical at every thread count even on an
-/// oversubscribed machine.
 /// Self-check counters accumulated across the end-to-end stages (the
 /// Sat-model validation layer is always on; its activity is emitted as
 /// `selfcheck_counters` so the JSON shows the cost is bounded and no
@@ -150,20 +147,6 @@ struct {
     CertificationFailures += S.CertificationFailures;
   }
 } SelfCheckCounters;
-
-uint64_t solveParallelRep(uint32_t, uint32_t Threads) {
-  uint64_t Acc = 0;
-  for (uint32_t I = 0; I < 4; ++I) {
-    strings::Problem P = bench::generate(bench::Family::Thefuck, 131, I);
-    solver::SolveOptions O;
-    O.TimeoutMs = 20000;
-    O.Threads = Threads;
-    solver::SolveResult R = solver::solveProblem(P, O);
-    SelfCheckCounters += R.Stats;
-    Acc += static_cast<uint64_t>(R.V);
-  }
-  return Acc;
-}
 
 uint64_t pipelineRep(uint32_t Rep) {
   // End-to-end solver over the Workloads generators (one instance per
@@ -219,11 +202,6 @@ int main() {
   Stages.push_back(runStage("solve", std::max(1u, N / 4), solveRep));
   Stages.push_back(runStage("pipeline", std::max(1u, N / 4), pipelineRep));
   Stages.push_back(runStage("mbqi", std::max(1u, N / 4), mbqiRep));
-  for (uint32_t Threads : {1u, 2u, 4u})
-    Stages.push_back(runStage("solve-parallel-" + std::to_string(Threads),
-                              std::max(1u, N / 4), [Threads](uint32_t Rep) {
-                                return solveParallelRep(Rep, Threads);
-                              }));
 
   std::string Json = "{\n  \"bench\": \"hotpath\",\n  \"scale\": " +
                      std::to_string(N) + ",\n  \"stages\": [\n";

@@ -120,8 +120,7 @@ StopReason Budget::trip(StopReason R) {
 }
 
 Budget::Limits Budget::childLimits(uint64_t CapMs, uint64_t MemBytes,
-                                   uint64_t Steps,
-                                   const std::atomic<bool> *Cancel) const {
+                                   uint64_t Steps) const {
   Limits L;
   uint64_t Left = remainingMs();
   if (Left == ~0ull)
@@ -137,7 +136,10 @@ Budget::Limits Budget::childLimits(uint64_t CapMs, uint64_t MemBytes,
       MemBytes && PMem ? std::min(MemBytes, PMem) : (MemBytes ? MemBytes : PMem);
   L.StepLimit =
       Steps && PSteps ? std::min(Steps, PSteps) : (Steps ? Steps : PSteps);
-  L.Cancel = Cancel;
+  // The flag is read directly: an ancestor trips on its cancel flag only
+  // when it probes itself, which the parent of a running child may not do
+  // until the child returns.
+  L.Cancel = Lim.Cancel;
   L.Parent = this;
   return L;
 }

@@ -43,7 +43,7 @@ enum class StopReason : uint8_t {
   None = 0,
   /// The wall-clock deadline expired.
   Timeout,
-  /// The external cancel flag was raised (pool loser, user interrupt).
+  /// The external cancel flag was raised (serve shutdown, user interrupt).
   Cancelled,
   /// The memory-accounting cap was exceeded at a growth site.
   MemOut,
@@ -56,11 +56,13 @@ const char *stopReasonName(StopReason R);
 
 /// Shared cooperative budget token. One `Budget` is typically created per
 /// top-level solve and threaded (as a non-owning pointer) through every
-/// layer; the parallel disjunct pool derives one child budget per disjunct
-/// so a single disjunct's MemOut does not kill its siblings.
+/// layer; a null `Budget *` means "unlimited". The pipeline derives one
+/// child budget per disjunct so a single disjunct's MemOut does not kill
+/// its siblings.
 ///
-/// Thread-safe: all mutation is on atomics; concurrent probes from pool
-/// workers are fine.
+/// Thread-safe: all mutation is on atomics, so another thread may raise
+/// the cancel flag or trip the budget while a solve probes it (serve's
+/// shutdown and SIGTERM cancel).
 class Budget {
 public:
   using Clock = std::chrono::steady_clock;
@@ -115,24 +117,22 @@ public:
   StopReason reason() const { return Reason.load(std::memory_order_relaxed); }
 
   /// Milliseconds left until the deadline; ~0ull when no deadline is set,
-  /// 0 when it has passed. Used to distribute the remaining allowance to
-  /// engines that still take a plain TimeoutMs.
+  /// 0 when it has passed.
   uint64_t remainingMs() const;
 
   /// Limits for a child budget derived from this one — the single place
-  /// deadline-propagation math lives (serve request admission, the
-  /// disjunct pool, degraded retries all call this instead of open-coding
-  /// min/remaining juggling). The child's wall-clock allowance is the
-  /// parent's remaining time intersected with \p CapMs (0 = no extra
-  /// cap; a parent without a deadline contributes nothing, so the result
-  /// is just CapMs). Memory/step limits are inherited unless \p MemBytes
-  /// / \p Steps override them (nonzero = tighter of the two). The child
-  /// carries \p Cancel and a Parent link back to this budget, so a trip
-  /// anywhere up the chain stops the child at its next probe with the
-  /// ancestor's reason.
+  /// deadline-propagation math lives (per-disjunct budgets, degraded
+  /// retries and the enumeration baselines all call this instead of
+  /// open-coding min/remaining juggling). The child's wall-clock
+  /// allowance is the parent's remaining time intersected with \p CapMs
+  /// (0 = no extra cap; a parent without a deadline contributes nothing,
+  /// so the result is just CapMs). Memory/step limits are inherited
+  /// unless \p MemBytes / \p Steps override them (nonzero = tighter of
+  /// the two). The child polls this budget's cancel flag itself and
+  /// carries a Parent link back to this budget, so an external cancel or
+  /// a trip anywhere up the chain stops the child at its next probe.
   Limits childLimits(uint64_t CapMs = 0, uint64_t MemBytes = 0,
-                     uint64_t Steps = 0,
-                     const std::atomic<bool> *Cancel = nullptr) const;
+                     uint64_t Steps = 0) const;
 
   /// Bytes charged so far (testing / stats).
   uint64_t memCharged() const { return MemUsed.load(std::memory_order_relaxed); }

@@ -64,8 +64,8 @@ public:
   }
 
   StabilizeResult run() {
-    // Legacy callers that only set TimeoutMs get a search-local budget;
-    // the shared one (when supplied) governs instead and also reaches the
+    // Callers that only set TimeoutMs get a search-local budget; the
+    // shared one (when supplied) governs instead and also reaches the
     // automata products inside explore().
     Budget Local(Budget::Limits{Opts.TimeoutMs, 0, 0, nullptr});
     Bud = Opts.Budget ? Opts.Budget : &Local;

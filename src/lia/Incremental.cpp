@@ -120,17 +120,10 @@ private:
   /// reasons map the extended var back to arena space, split reason
   /// codes become path-depth references.
   void stageConflictCert();
-  /// The per-solve stop probe, replacing the old inline deadline check:
-  /// all resource dimensions (deadline, memory, steps, cancellation) go
-  /// through the active budget — an externally shared one, or a local
-  /// per-solve wrapper built from the legacy TimeoutMs/Cancel knobs.
+  /// The per-solve stop probe: all resource dimensions (deadline,
+  /// memory, steps, cancellation) go through the caller's budget, if any.
   /// Records the first reason in Stop.
   bool stopped(const char *Site) {
-    if (Opts.Cancel && Opts.Cancel->load(std::memory_order_relaxed)) {
-      if (Stop == StopReason::None)
-        Stop = StopReason::Cancelled;
-      return true;
-    }
     if (Bud && !Bud->checkpoint(Site)) {
       if (Stop == StopReason::None)
         Stop = Bud->reason();
@@ -185,11 +178,8 @@ private:
   std::vector<AssertRecord> Asserted;
   std::vector<int64_t> FinalModel;
   uint32_t TheoryConflicts = 0; ///< per-solve
-  /// Active budget for the current solve (Opts.Budget or &*LocalBud).
+  /// Active budget for the current solve (Opts.Budget; null = unlimited).
   Budget *Bud = nullptr;
-  /// Legacy-knob wrapper rebuilt each solve when no shared budget is
-  /// supplied, so TimeoutMs keeps measuring from the call.
-  std::optional<Budget> LocalBud;
   StopReason Stop = StopReason::None; ///< per-solve first stop reason
   // Triage counters (printed under POSTR_QF_STATS).
   uint64_t NumOnAssign = 0, NumRationalChecks = 0, NumFinalChecks = 0,
@@ -673,20 +663,11 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   ++Solves;
   QfResult Out;
 
-  // Resolve the active budget for this solve: the shared one when the
-  // caller provided it, otherwise a fresh local wrapper around the legacy
-  // TimeoutMs/Cancel knobs (its deadline measures from here, preserving
-  // the old per-call semantics). The context stays reusable after a trip:
-  // nothing below caches the tripped budget beyond this call.
+  // Resolve the active budget for this solve (setOptions may have swapped
+  // it). The context stays reusable after a trip: nothing below caches
+  // the tripped budget beyond this call.
   Stop = StopReason::None;
-  if (Opts.Budget) {
-    Bud = Opts.Budget;
-    LocalBud.reset();
-  } else {
-    LocalBud.emplace(
-        Budget::Limits{Opts.TimeoutMs, 0, 0, Opts.Cancel});
-    Bud = &*LocalBud;
-  }
+  Bud = Opts.Budget;
   Sat.setBudget(Bud);
 
   // Assumption literals: active scope selectors first, then the caller's

@@ -28,9 +28,7 @@ struct MbqiRun {
   const MbqiOptions &Opts;
   MbqiStats Dummy;
   MbqiStats &St;
-  /// Per-run budget when the caller did not supply a shared one: carries
-  /// the legacy MbqiOptions::TimeoutMs deadline and the Qf cancel flag.
-  Budget Local;
+  /// The caller's budget (Opts.Qf.Budget; null = unlimited).
   Budget *Bud;
   // Fair length-bound schedule: propose small candidates first. The
   // size proxy (total transition count of the outer run) is bounded,
@@ -43,8 +41,7 @@ struct MbqiRun {
 
   MbqiRun(Arena &A, const MbqiQuery &Q, const MbqiOptions &Opts)
       : A(A), Q(Q), Opts(Opts), St(Opts.Stats ? *Opts.Stats : Dummy),
-        Local(Budget::Limits{Opts.TimeoutMs, 0, 0, Opts.Qf.Cancel}),
-        Bud(Opts.Qf.Budget ? Opts.Qf.Budget : &Local) {
+        Bud(Opts.Qf.Budget) {
     if (!Q.BlockTerms.empty())
       for (const LinTerm &T : Q.BlockTerms)
         SizeTerm += T;
@@ -55,13 +52,12 @@ struct MbqiRun {
 
   /// Budget probe between candidates and offsets. True means stop now
   /// (the reason is recorded in the budget).
-  bool stopped() { return !Bud->checkpoint("lia.mbqi"); }
+  bool stopped() { return Bud && !Bud->checkpoint("lia.mbqi"); }
 
   QfOptions subQf() const {
     // Sub-solves share this run's budget, so the deadline / memory cap /
     // cancel flag govern them directly — no remaining-time arithmetic.
     QfOptions O = Opts.Qf;
-    O.Budget = Bud;
     // Never record clause traces here: an MBQI Unsat rests on blocking
     // clauses whose soundness comes from *inner* refutations, which a
     // single QF trace cannot express. MBQI verdicts enter certificates

@@ -65,8 +65,6 @@ struct MbqiOptions {
   uint32_t MaxCandidates = 64;
   /// Max enumerated offsets per candidate (guards degenerate models).
   int64_t MaxOffsets = 4096;
-  /// Optional overall deadline in milliseconds (0 = none).
-  uint64_t TimeoutMs = 0;
   /// Run on persistent IncrementalContexts (the default): one outer
   /// context accumulates blockers and instantiation lemmas, per-block
   /// inner contexts keep their encoding and pop only the pin/offset

@@ -337,10 +337,9 @@ public:
   /// Cooperative interruption: when the callback returns true,
   /// checkInteger() gives up at the next branch node (returning Unknown,
   /// the same resource-out its budget produces). The QF engine installs
-  /// its deadline-or-cancelled predicate here, so neither a timeout nor
-  /// the parallel disjunct pool's first-Sat cancellation has to sit out
-  /// a full branch-and-bound tree (nodes cost whole Simplex re-checks;
-  /// budgets alone overran deadlines by many seconds).
+  /// its budget probe here, so neither a timeout nor an external cancel
+  /// has to sit out a full branch-and-bound tree (nodes cost whole
+  /// Simplex re-checks; budgets alone overran deadlines by many seconds).
   void setInterrupt(std::function<bool()> F) { Interrupt = std::move(F); }
 
   /// Attaches a shared resource budget: tableau-row growth (rowFor) is

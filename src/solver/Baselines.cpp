@@ -394,21 +394,8 @@ SolveResult postr::solver::solveEqReduction(const Problem &P,
 
 SolveResult postr::solver::solveEnum(const Problem &P,
                                      const EnumOptions &Opts) {
-  // TimeoutMs and a caller-shared Budget compose: both are probed and
-  // the tighter limit wins (a set Budget used to replace TimeoutMs).
-  Budget Local(Budget::Limits{Opts.TimeoutMs, 0, 0, nullptr});
-  Budget *Shared = Opts.Budget;
-  Budget *MemBud = Shared ? Shared : &Local;
-  auto Probe = [&](const char *Site) {
-    if (Shared && !Shared->checkpoint(Site))
-      return false;
-    return Local.checkpoint(Site);
-  };
-  auto Reason = [&] {
-    if (Shared && Shared->reason() != StopReason::None)
-      return Shared->reason();
-    return Local.reason();
-  };
+  Budget Bud(Opts.Budget ? Opts.Budget->childLimits(Opts.TimeoutMs)
+                         : Budget::Limits{Opts.TimeoutMs});
 
   SolveResult Result;
   NormalForm NF = normalize(P);
@@ -435,16 +422,16 @@ SolveResult postr::solver::solveEnum(const Problem &P,
     if (!Fin || *Fin > Opts.MaxWordLen)
       Exhaustive = false;
     std::vector<Word> Words = Lang.enumerateWords(Opts.MaxWordLen);
-    MemBud->chargeMem(Words.size() * (sizeof(Word) + 8));
+    Bud.chargeMem(Words.size() * (sizeof(Word) + 8));
     if (Words.empty()) {
       // Non-empty language, but no word within the bound.
       Result.V = Verdict::Unknown;
       Result.Stop = StopReason::StepBudget;
       return Result;
     }
-    if (!Probe("solver.enum")) {
+    if (!Bud.checkpoint("solver.enum")) {
       Result.V = Verdict::Unknown;
-      Result.Stop = Reason();
+      Result.Stop = Bud.reason();
       return Result;
     }
     std::stable_sort(Words.begin(), Words.end(),
@@ -469,11 +456,11 @@ SolveResult postr::solver::solveEnum(const Problem &P,
     // Enumerate integer assignments for this word assignment.
     std::vector<int64_t> IntVals(P.numIntVars(), IntLo);
     for (;;) {
-      // Shared-budget probe (deadline, cancel, memory, steps) every 64
-      // evaluations; the old code polled only the deadline, every 256.
-      if ((++Steps & 63) == 0 && !Probe("solver.enum")) {
+      // Budget probe (deadline, cancel, memory, steps) every 64
+      // evaluations.
+      if ((++Steps & 63) == 0 && !Bud.checkpoint("solver.enum")) {
         Result.V = Verdict::Unknown;
-        Result.Stop = Reason();
+        Result.Stop = Bud.reason();
         return Result;
       }
       std::map<IntVarId, int64_t> Ints;

@@ -57,9 +57,9 @@ struct EnumOptions {
   /// MaxIntVars integer variables yields Unknown.
   int64_t MaxIntValue = 16;
   uint32_t MaxIntVars = 2;
-  /// Optional shared resource budget, probed every 64 evaluation steps
-  /// ("solver.enum"). Composes with TimeoutMs: both are probed, the
-  /// tighter limit wins.
+  /// Optional shared resource budget. The enumeration runs on a child of
+  /// it capped at TimeoutMs (so the tighter deadline wins), probed every
+  /// 64 evaluation steps ("solver.enum").
   postr::Budget *Budget = nullptr;
 };
 

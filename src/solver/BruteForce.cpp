@@ -16,22 +16,9 @@ BruteForceResult postr::solver::solveBruteForce(
     const std::map<VarId, automata::Nfa> &Langs,
     const std::vector<tagaut::PosPredicate> &Preds,
     const BruteForceOptions &Opts) {
-  // TimeoutMs and a caller-shared Budget compose: both are probed and
-  // the tighter limit wins. (Previously a set Budget silently replaced
-  // TimeoutMs, so "enumerate for at most 50ms inside this big budget"
-  // ran unbounded.)
-  Budget Local(Budget::Limits{Opts.TimeoutMs, 0, 0, nullptr});
-  Budget *Shared = Opts.Budget;
-  Budget *MemBud = Shared ? Shared : &Local;
-  auto Probe = [&](const char *Site) {
-    if (Shared && !Shared->checkpoint(Site))
-      return false;
-    return Local.checkpoint(Site);
-  };
-  auto Reason = [&] {
-    if (Shared && Shared->reason() != StopReason::None)
-      return Shared->reason();
-    return Local.reason();
+  Budget *Bud = Opts.Budget;
+  auto Stopped = [Bud] {
+    return Bud && !Bud->checkpoint("solver.bruteforce");
   };
   BruteForceResult Out;
 
@@ -40,7 +27,8 @@ BruteForceResult postr::solver::solveBruteForce(
   for (const auto &[X, Nfa] : Langs) {
     Vars.push_back(X);
     Choices.push_back(Nfa.enumerateWords(Opts.MaxWordLen));
-    MemBud->chargeMem(Choices.back().size() * (sizeof(Word) + 8));
+    if (Bud)
+      Bud->chargeMem(Choices.back().size() * (sizeof(Word) + 8));
     if (Choices.back().empty()) {
       // The language has no word of length <= bound. If it is empty
       // outright the system is Unsat; otherwise the bound is too small
@@ -50,9 +38,9 @@ BruteForceResult postr::solver::solveBruteForce(
         Out.Stop = StopReason::StepBudget;
       return Out;
     }
-    if (!Probe("solver.bruteforce")) {
+    if (Stopped()) {
       Out.V = Verdict::Unknown;
-      Out.Stop = Reason();
+      Out.Stop = Bud->reason();
       return Out;
     }
   }
@@ -65,11 +53,11 @@ BruteForceResult postr::solver::solveBruteForce(
       Out.Stop = StopReason::StepBudget;
       return Out;
     }
-    // Shared-budget probe (deadline, cancel, memory, steps) every 64
-    // evaluations; the old code polled only the deadline, every 1024.
-    if ((Evaluated & 63) == 0 && !Probe("solver.bruteforce")) {
+    // Budget probe (deadline, cancel, memory, steps) every 64
+    // evaluations.
+    if ((Evaluated & 63) == 0 && Stopped()) {
       Out.V = Verdict::Unknown;
-      Out.Stop = Reason();
+      Out.Stop = Bud->reason();
       return Out;
     }
 

@@ -35,12 +35,9 @@ struct BruteForceOptions {
   uint32_t MaxWordLen = 4;
   /// Hard cap on evaluated assignments.
   uint64_t MaxAssignments = 2'000'000;
-  /// Optional deadline in milliseconds (0 = none).
-  uint64_t TimeoutMs = 0;
-  /// Optional shared resource budget (base/Budget.h), probed every 64
-  /// evaluations ("solver.bruteforce") — covers cancellation and
-  /// step/memory limits, which the bare TimeoutMs poll never did.
-  /// Composes with TimeoutMs: both are probed, the tighter limit wins.
+  /// Optional resource budget (base/Budget.h; null = unlimited), probed
+  /// every 64 evaluations ("solver.bruteforce"). A caller wanting a
+  /// tighter deadline inside a shared budget passes a child of it.
   postr::Budget *Budget = nullptr;
 };
 

@@ -12,12 +12,9 @@
 #include "strings/Eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 using namespace postr;
 using namespace postr::solver;
@@ -63,13 +60,11 @@ public:
 private:
   SolveResult runImpl();
 
-  /// The shared model-validation evaluator, built once on first use
-  /// (regex compilation is the expensive part; disjunct workers share
-  /// the compiled automata, which are immutable after construction).
-  const ConcreteEvaluator &evaluator() const {
-    std::call_once(EvalOnce,
-                   [&] { Eval = std::make_unique<ConcreteEvaluator>(
-                             P, NF.Sigma); });
+  /// The model-validation evaluator, built on first use (regex
+  /// compilation is the expensive part) and shared by every disjunct.
+  const ConcreteEvaluator &evaluator() {
+    if (!Eval)
+      Eval = std::make_unique<ConcreteEvaluator>(P, NF.Sigma);
     return *Eval;
   }
   /// Root budget probe between disjuncts; \p StopOut records the first
@@ -81,15 +76,13 @@ private:
       StopOut = Root->reason();
     return true;
   }
-  /// Limits of one disjunct's child budget: the root's remaining time
-  /// (capped by \p CapMs when nonzero), the full memory/step allowance
-  /// (disjunct state is independent and freed when the disjunct
-  /// finishes), and a parent link so a root trip stops the disjunct
+  /// Limits of one disjunct's child budget: the root's remaining time,
+  /// the full memory/step allowance (disjunct state is independent and
+  /// freed when the disjunct finishes), and the root's cancel flag and a
+  /// parent link so an external cancel or a root trip stops the disjunct
   /// mid-solve. All the deadline math lives in Budget::childLimits.
-  Budget::Limits childLimits(const std::atomic<bool> *Cancel,
-                             uint64_t CapMs = 0) const {
-    return Root->childLimits(CapMs, Opts.MemLimitBytes, Opts.StepLimit,
-                             Cancel);
+  Budget::Limits childLimits() const {
+    return Root->childLimits(0, Opts.MemLimitBytes, Opts.StepLimit);
   }
 
   /// Applies a decomposition's substitution to an occurrence sequence.
@@ -103,17 +96,13 @@ private:
     return Out;
   }
 
-  /// Solves one decomposition. Thread-safe: all mutable state is local or
-  /// reached through \p Result and \p St, which each worker owns; \p
-  /// Cancel (may be null) cooperatively aborts the underlying engines.
-  /// On an Unknown caused by resource exhaustion, \p StopOut receives
-  /// the reason (first one wins). A disjunct stopping on MemOut or
-  /// StepBudget is retried once in degraded mode — Bland pivoting,
-  /// reduced MBQI bounds — on a fresh child budget before giving up.
+  /// Solves one decomposition. On an Unknown caused by resource
+  /// exhaustion, \p StopOut receives the reason (first one wins). A
+  /// disjunct stopping on MemOut or StepBudget is retried once in
+  /// degraded mode — Bland pivoting, reduced MBQI bounds — on a fresh
+  /// child budget before giving up.
   Verdict solveDisjunct(const eq::Decomposition &D, SolveResult &Result,
-                        SolveStats &St, const std::atomic<bool> *Cancel,
-                        StopReason &StopOut,
-                        proof::DisjunctCert *CertOut) const;
+                        StopReason &StopOut, proof::DisjunctCert *CertOut);
 
   const Problem &P;
   SolveOptions Opts;
@@ -122,23 +111,19 @@ private:
   NormalForm NF;
   SolveStats Stats;
   /// Certification state: on, the per-disjunct refutations (slot per
-  /// stabilization disjunct, written by whichever worker solves it), and
-  /// whether stabilization covered the whole problem.
+  /// stabilization disjunct), and whether stabilization covered the whole
+  /// problem.
   bool CertifyOn = false;
   std::vector<proof::DisjunctCert> Certs;
   bool CertComplete = false;
-  mutable std::once_flag EvalOnce;
-  mutable std::unique_ptr<ConcreteEvaluator> Eval;
-  /// First self-check rejection across all disjuncts/workers.
-  mutable std::mutex FailMu;
-  mutable ValidationFailure FirstFail;
+  std::unique_ptr<ConcreteEvaluator> Eval;
+  /// First self-check rejection across all disjuncts.
+  ValidationFailure FirstFail;
 };
 
 Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
-                                SolveResult &Result, SolveStats &St,
-                                const std::atomic<bool> *Cancel,
-                                StopReason &StopOut,
-                                proof::DisjunctCert *CertOut) const {
+                                SolveResult &Result, StopReason &StopOut,
+                                proof::DisjunctCert *CertOut) {
   std::map<VarId, Nfa> Langs = D.Langs;
   VarId NextLocal = NF.NextFresh + 1000000; // disjunct-local fresh ids
   auto EnsureNonEmptySeq = [&](std::vector<VarId> &Seq) {
@@ -195,18 +180,15 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   }
   bool Approximated = !ApproxLenGt.empty();
   if (Approximated)
-    St.UsedApproximation = true;
+    Stats.UsedApproximation = true;
   bool HasIntSide = !NF.IntAtoms.empty() || Approximated;
-
-  if (Cancel && Cancel->load(std::memory_order_relaxed))
-    return Verdict::Unknown; // a sibling disjunct already answered Sat
 
   // PTime fast path (Thm. 7.1): a single eligible predicate, no I part.
   if (Opts.UseOcaFastPath && !HasIntSide && counter::isEligible(Preds)) {
     Verdict V = counter::decideSinglePredicate(Langs, Preds.front(),
                                                NF.Sigma.size());
     if (V == Verdict::Unsat) {
-      ++St.FastPathDecisions;
+      ++Stats.FastPathDecisions;
       if (CertOut) {
         // The PTime one-counter decision (Thm. 7.1) is a trusted engine;
         // its refutation is recorded by name (proof/Proof.h).
@@ -216,17 +198,17 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       return Verdict::Unsat;
     }
     if (V == Verdict::Sat && !Opts.BuildModel) {
-      ++St.FastPathDecisions;
+      ++Stats.FastPathDecisions;
       return Verdict::Sat;
     }
     // Sat with a model requested, or Unknown: the LIA path below also
     // produces the witness.
   }
 
-  ++St.MpCalls;
+  ++Stats.MpCalls;
   for (const PosPredicate &Pred : Preds)
     if (Pred.Kind == PredKind::NotContains)
-      St.UsedMbqi = true;
+      Stats.UsedMbqi = true;
 
   tagaut::IntConstraintBuilder IntBuilder =
       [&](lia::Arena &Ar,
@@ -280,12 +262,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
         break;
       }
   }
-  if (!MpOpts.Cancel)
-    MpOpts.Cancel = Cancel;
 
   // Child budget: the root's remaining time plus the full memory/step
-  // allowance; a caller-set Mp deadline still caps the child.
-  Budget Child(childLimits(Cancel, MpOpts.TimeoutMs));
+  // allowance.
+  Budget Child(childLimits());
   MpOpts.Budget = &Child;
   tagaut::MpResult R =
       tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, MpOpts);
@@ -298,9 +278,8 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   // bounds — on a fresh child budget. Timeout/Cancelled are not retried:
   // there is no time left to spend.
   if (R.V == Verdict::Unknown &&
-      (R.Stop == StopReason::MemOut || R.Stop == StopReason::StepBudget) &&
-      !(Cancel && Cancel->load(std::memory_order_relaxed))) {
-    ++St.DegradedRetries;
+      (R.Stop == StopReason::MemOut || R.Stop == StopReason::StepBudget)) {
+    ++Stats.DegradedRetries;
     tagaut::MpOptions Deg = MpOpts;
     Deg.Qf.Pivot.Rule = lia::PivotRule::Bland;
     Deg.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
@@ -308,13 +287,13 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     Deg.Mbqi.MaxOffsets = std::min<int64_t>(Deg.Mbqi.MaxOffsets, 512);
     // Fresh limits: the root's remaining time has shrunk by the first
     // attempt, so re-derive rather than reuse.
-    Budget RetryBud(childLimits(Cancel, MpOpts.TimeoutMs));
+    Budget RetryBud(childLimits());
     Deg.Budget = &RetryBud;
     R = tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, Deg);
     Root->chargeMem(RetryBud.memCharged());
   }
   if (R.V == Verdict::Unknown && R.Stop != StopReason::None) {
-    ++St.BudgetTrips;
+    ++Stats.BudgetTrips;
     if (StopOut == StopReason::None)
       StopOut = R.Stop;
   }
@@ -339,13 +318,12 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     // concrete semantics before it leaves the pipeline. An invalid model
     // is demoted to a structured Unknown (never a silent wrong answer).
     if (Opts.ValidateModels) {
-      ++St.ModelsValidated;
+      ++Stats.ModelsValidated;
       const ConcreteEvaluator &E = evaluator();
       for (size_t I = 0; I < P.assertions().size(); ++I) {
         if (E.evalOne(I, Result.Words, Result.Ints))
           continue;
-        ++St.ValidationFailures;
-        std::lock_guard<std::mutex> Lock(FailMu);
+        ++Stats.ValidationFailures;
         if (!FirstFail.Failed) {
           FirstFail.Failed = true;
           FirstFail.AssertionIndex = static_cast<uint32_t>(I);
@@ -370,11 +348,8 @@ SolveResult Pipeline::run() {
   // Attach the first self-check rejection, if any. The demoted disjunct
   // already reported Unknown, so R.V reflects it; the diagnostic makes
   // the demotion visible to callers (CLI exit code 7, fuzz triage).
-  {
-    std::lock_guard<std::mutex> Lock(FailMu);
-    if (FirstFail.Failed)
-      R.Validation = FirstFail;
-  }
+  if (FirstFail.Failed)
+    R.Validation = FirstFail;
 
   // Paranoid mode: cross-check Unsat against the bounded enumeration
   // oracle. Its Sat is evaluator-certified, so a hit is a proven wrong
@@ -454,54 +429,16 @@ SolveResult Pipeline::runImpl() {
   if (!Stab.Complete && Stab.Stop != StopReason::None)
     AggStop = Stab.Stop;
 
+  // Disjunct order: stabilization emits easy decompositions first, and
+  // the first Sat answers for the whole problem.
   bool AnyUnknown = !Stab.Complete;
-
-  uint32_t Threads = Opts.Threads == 0
-                         ? std::max(1u, std::thread::hardware_concurrency())
-                         : Opts.Threads;
-  Threads = std::min<uint32_t>(
-      Threads, static_cast<uint32_t>(Stab.Disjuncts.size()));
-
-  if (Threads <= 1) {
-    for (size_t I = 0; I < Stab.Disjuncts.size(); ++I) {
-      const eq::Decomposition &D = Stab.Disjuncts[I];
-      if (stopped(AggStop)) {
-        AnyUnknown = true;
-        break;
-      }
-      Verdict V = solveDisjunct(D, Result, Stats, nullptr, AggStop,
-                                CertifyOn ? &Certs[I] : nullptr);
-      if (V == Verdict::Sat) {
-        Result.V = Verdict::Sat;
-        Result.Stats = Stats;
-        return Result;
-      }
-      if (V == Verdict::Unknown)
-        AnyUnknown = true;
+  for (size_t I = 0; I < Stab.Disjuncts.size(); ++I) {
+    if (stopped(AggStop)) {
+      AnyUnknown = true;
+      break;
     }
-    Result.V = AnyUnknown ? Verdict::Unknown : Verdict::Unsat;
-    if (Result.V == Verdict::Unknown)
-      Result.Stop = AggStop;
-    Result.Stats = Stats;
-    return Result;
-  }
-
-  // Stage the pool: solve disjunct 0 on the calling thread first. The
-  // stabilizer orders easy decompositions early, so a serial run's
-  // early-Sat exit usually never reaches the hard tail — an eagerly
-  // fanned-out pool starts those hard disjuncts anyway and, on few-core
-  // hosts, pays for work the serial loop would have skipped (the
-  // solve-parallel-1 regression). Staging keeps the serial fast path:
-  // only when disjunct 0 fails to answer Sat does the fan-out begin.
-  if (stopped(AggStop)) {
-    Result.V = Verdict::Unknown;
-    Result.Stop = AggStop;
-    Result.Stats = Stats;
-    return Result;
-  }
-  {
-    Verdict V = solveDisjunct(Stab.Disjuncts[0], Result, Stats, nullptr,
-                              AggStop, CertifyOn ? &Certs[0] : nullptr);
+    Verdict V = solveDisjunct(Stab.Disjuncts[I], Result, AggStop,
+                              CertifyOn ? &Certs[I] : nullptr);
     if (V == Verdict::Sat) {
       Result.V = Verdict::Sat;
       Result.Stats = Stats;
@@ -510,88 +447,9 @@ SolveResult Pipeline::runImpl() {
     if (V == Verdict::Unknown)
       AnyUnknown = true;
   }
-  Threads = std::min<uint32_t>(
-      Threads, static_cast<uint32_t>(Stab.Disjuncts.size() - 1));
-
-  // Disjunct pool over the remaining disjuncts: the decompositions are
-  // independent (each worker builds its own arena, tag automata, Simplex
-  // and SAT core), so grab them off a shared index — the atomic counter
-  // is the work-stealing deque of this coarse-grained pool. The first
-  // Sat raises the cancel flag, which the engines poll at their theory
-  // callbacks; cancelled losers come back Unknown and are ignored once a
-  // winner exists. Verdicts stay deterministic at any thread count: Sat
-  // wins outright, and without a Sat no disjunct is ever cancelled, so
-  // Unsat/Unknown aggregate exactly as in the serial loop.
-  std::atomic<size_t> NextIdx{1};
-  std::atomic<bool> Cancel{false};
-  std::atomic<bool> PoolUnknown{AnyUnknown};
-  std::mutex WinnerMu;
-  bool HaveWinner = false;
-  size_t WinnerIdx = 0;
-  SolveResult Winner;
-  SolveStats Merged = Stats;
-
-  StopReason PoolStop = AggStop;
-
-  auto Worker = [&] {
-    SolveStats Local;
-    StopReason LocalStop = StopReason::None;
-    for (;;) {
-      size_t I = NextIdx.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Stab.Disjuncts.size())
-        break;
-      if (Cancel.load(std::memory_order_relaxed))
-        break;
-      if (stopped(LocalStop)) {
-        PoolUnknown.store(true, std::memory_order_relaxed);
-        break;
-      }
-      SolveResult R;
-      Verdict V = solveDisjunct(Stab.Disjuncts[I], R, Local, &Cancel,
-                                LocalStop, CertifyOn ? &Certs[I] : nullptr);
-      if (V == Verdict::Sat) {
-        std::lock_guard<std::mutex> Lock(WinnerMu);
-        if (!HaveWinner || I < WinnerIdx) {
-          HaveWinner = true;
-          WinnerIdx = I;
-          Winner = std::move(R);
-        }
-        Cancel.store(true, std::memory_order_relaxed);
-        break;
-      }
-      if (V == Verdict::Unknown && !Cancel.load(std::memory_order_relaxed))
-        PoolUnknown.store(true, std::memory_order_relaxed);
-    }
-    std::lock_guard<std::mutex> Lock(WinnerMu);
-    Merged.FastPathDecisions += Local.FastPathDecisions;
-    Merged.MpCalls += Local.MpCalls;
-    Merged.BudgetTrips += Local.BudgetTrips;
-    Merged.DegradedRetries += Local.DegradedRetries;
-    Merged.UsedMbqi |= Local.UsedMbqi;
-    Merged.UsedApproximation |= Local.UsedApproximation;
-    Merged.ModelsValidated += Local.ModelsValidated;
-    Merged.ValidationFailures += Local.ValidationFailures;
-    Merged.ParanoidChecks += Local.ParanoidChecks;
-    if (PoolStop == StopReason::None)
-      PoolStop = LocalStop;
-  };
-
-  std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (uint32_t T = 0; T < Threads; ++T)
-    Pool.emplace_back(Worker);
-  for (std::thread &T : Pool)
-    T.join();
-
-  Stats = Merged;
-  if (HaveWinner) {
-    Result = std::move(Winner);
-    Result.V = Verdict::Sat;
-  } else {
-    Result.V = PoolUnknown.load() ? Verdict::Unknown : Verdict::Unsat;
-    if (Result.V == Verdict::Unknown)
-      Result.Stop = PoolStop;
-  }
+  Result.V = AnyUnknown ? Verdict::Unknown : Verdict::Unsat;
+  if (Result.V == Verdict::Unknown)
+    Result.Stop = AggStop;
   Result.Stats = Stats;
   return Result;
 }

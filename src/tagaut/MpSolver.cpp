@@ -105,20 +105,11 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
                                 const IntConstraintBuilder &IntConstraints,
                                 const MpOptions &Opts) {
   MpResult Out;
-  // Resource governance: the caller's shared budget, or a per-call one
-  // built from the legacy TimeoutMs/Cancel knobs. The automata shortcuts
-  // and the encoder below can run for a while, so probe between phases;
-  // the Cancel flag (the disjunct pool flips it once a sibling answers
-  // Sat) is checked separately so it works even when a caller-supplied
-  // budget does not carry it.
-  Budget Local(Budget::Limits{Opts.TimeoutMs, 0, 0, Opts.Cancel});
-  Budget *Bud = Opts.Budget ? Opts.Budget : &Local;
-  auto Stopped = [&Opts, Bud, &Out] {
-    if (Opts.Cancel && Opts.Cancel->load(std::memory_order_relaxed)) {
-      Out.Stop = StopReason::Cancelled;
-      return true;
-    }
-    if (!Bud->checkpoint("tagaut.encode")) {
+  // The automata shortcuts and the encoder below can run for a while, so
+  // probe the caller's budget between phases.
+  Budget *Bud = Opts.Budget;
+  auto Stopped = [Bud, &Out] {
+    if (Bud && !Bud->checkpoint("tagaut.encode")) {
       Out.Stop = Bud->reason();
       return true;
     }
@@ -241,13 +232,8 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     // measure them apart.
     if (Qf.Pivot.Family == lia::InstanceFamily::Unknown)
       Qf.Pivot.Family = classifyFamily(Preds);
-    if (Opts.Budget && !Qf.Budget)
-      Qf.Budget = Opts.Budget;
-    if (Opts.TimeoutMs)
-      Qf.TimeoutMs = Qf.TimeoutMs ? std::min(Qf.TimeoutMs, Opts.TimeoutMs)
-                                  : Opts.TimeoutMs;
-    if (!Qf.Cancel)
-      Qf.Cancel = Opts.Cancel;
+    if (!Qf.Budget)
+      Qf.Budget = Bud;
     // Connectivity CEGAR: under SpanMode::Lazy every Sat model is only
     // flow-consistent; disconnected pseudo-runs are refuted by cuts fed
     // back through the solver's refinement hook (which keeps learned
@@ -311,13 +297,8 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   Q.Blocks = Enc.Blocks;
   Q.BlockTerms = Enc.BlockTerms;
   lia::MbqiOptions Mb = Opts.Mbqi;
-  if (Opts.Budget && !Mb.Qf.Budget)
-    Mb.Qf.Budget = Opts.Budget;
-  if (Opts.TimeoutMs)
-    Mb.TimeoutMs = Mb.TimeoutMs ? std::min(Mb.TimeoutMs, Opts.TimeoutMs)
-                                : Opts.TimeoutMs;
-  if (!Mb.Qf.Cancel)
-    Mb.Qf.Cancel = Opts.Cancel;
+  if (!Mb.Qf.Budget)
+    Mb.Qf.Budget = Bud;
   std::vector<int64_t> Model;
   Out.V = lia::solveMbqi(A, Q, &Model, Mb);
   // An MBQI refutation rests on blocking clauses justified by *inner*
@@ -330,12 +311,8 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   if (Out.V == Verdict::Unknown) {
     // solveMbqi reports no reason itself; reconstruct it. Candidate /
     // offset exhaustion without a budget trip is a step-budget stop.
-    if (Opts.Cancel && Opts.Cancel->load(std::memory_order_relaxed))
-      Out.Stop = StopReason::Cancelled;
-    else if (Bud->exceeded())
-      Out.Stop = Bud->reason();
-    else
-      Out.Stop = StopReason::StepBudget;
+    Out.Stop = Bud && Bud->exceeded() ? Bud->reason()
+                                      : StopReason::StepBudget;
   }
   if (Out.V == Verdict::Sat) {
     Out.Assignment = Enc.decode(Model);

@@ -32,13 +32,6 @@ namespace tagaut {
 struct MpOptions {
   lia::QfOptions Qf;
   lia::MbqiOptions Mbqi;
-  /// Overall deadline in milliseconds (0 = none); distributed to the
-  /// underlying engines.
-  uint64_t TimeoutMs = 0;
-  /// Optional cooperative cancellation, forwarded into the QF and MBQI
-  /// engines; the parallel disjunct pool uses it to stop the losers once
-  /// one disjunct answers Sat.
-  const std::atomic<bool> *Cancel = nullptr;
   /// Cap on connectivity-CEGAR rounds under SpanMode::Lazy before the
   /// solver answers Unknown. Each round adds one cut; real workloads
   /// converge in a handful.
@@ -51,10 +44,9 @@ struct MpOptions {
   /// (large-instance experiments).
   uint32_t MbqiMaxTaTransitions = 4000;
   /// Optional shared resource budget (deadline / memory cap / step limit
-  /// / cancel, see base/Budget.h). When set it governs the whole solve —
-  /// the encoder, the automata shortcuts, and every QF/MBQI sub-solve —
-  /// and TimeoutMs is ignored. When null a per-call budget is built from
-  /// TimeoutMs + Cancel.
+  /// / cancel, see base/Budget.h) governing the whole solve — the
+  /// encoder, the automata shortcuts, and every QF/MBQI sub-solve that
+  /// sets no budget of its own. Null means unlimited.
   postr::Budget *Budget = nullptr;
   EncoderOptions Encoder;
   /// Record an Unsat certificate into MpResult::Cert: the QF-LIA path

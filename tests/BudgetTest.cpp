@@ -78,6 +78,22 @@ TEST(BudgetTest, CancelFlagTrips) {
   EXPECT_EQ(B.reason(), StopReason::Cancelled);
 }
 
+TEST(BudgetTest, ChildSeesRootCancel) {
+  // An external cancel raised on the root must stop a running descendant
+  // at its next probe, even though nothing probes the root meanwhile.
+  std::atomic<bool> Cancel{false};
+  Budget Root(Budget::Limits{0, 0, 0, &Cancel});
+  Budget Child(Root.childLimits());
+  Budget Leaf(Child.childLimits());
+  EXPECT_TRUE(Child.checkpoint("lia.sat"));
+  EXPECT_TRUE(Leaf.checkpoint("lia.sat"));
+  Cancel.store(true);
+  EXPECT_FALSE(Child.checkpoint("lia.sat"));
+  EXPECT_EQ(Child.reason(), StopReason::Cancelled);
+  EXPECT_FALSE(Leaf.checkpoint("lia.sat"));
+  EXPECT_EQ(Leaf.reason(), StopReason::Cancelled);
+}
+
 TEST(BudgetTest, DeadlineTrips) {
   Budget B(Budget::Limits{1, 0, 0, nullptr});
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -409,7 +425,10 @@ std::vector<SiteCase> siteCases() {
     Langs[1] = regex::compileString("a", Sigma);
     std::vector<tagaut::PosPredicate> Preds = {
         {tagaut::PredKind::Diseq, {0}, {1}, {}}};
-    solver::BruteForceResult R = solver::solveBruteForce(Langs, Preds);
+    Budget Bud;
+    solver::BruteForceOptions O;
+    O.Budget = &Bud;
+    solver::BruteForceResult R = solver::solveBruteForce(Langs, Preds, O);
     if (R.V == Verdict::Unknown)
       EXPECT_NE(R.Stop, StopReason::None);
     return R.V;
@@ -471,7 +490,10 @@ TEST(FaultSweepTest, TrippedIncrementalContextIsReusable) {
   lia::QfResult Oracle = lia::solveQF(A, Pf.Formula);
   ASSERT_NE(Oracle.V, Verdict::Unknown);
 
-  lia::IncrementalContext IC(A);
+  Budget Tripped;
+  lia::QfOptions O;
+  O.Budget = &Tripped;
+  lia::IncrementalContext IC(A, O);
   IC.assertFormula(Pf.Formula);
   {
     ArmGuard G("lia.sat", 1, 5);
@@ -480,8 +502,11 @@ TEST(FaultSweepTest, TrippedIncrementalContextIsReusable) {
     EXPECT_EQ(R.V, Verdict::Unknown);
     EXPECT_NE(R.Stop, StopReason::None);
   }
-  // The context must survive the mid-solve unwind: re-solving with the
-  // injector disarmed matches the one-shot oracle.
+  // The context must survive the mid-solve unwind: re-solving on a fresh
+  // budget with the injector disarmed matches the one-shot oracle.
+  Budget Fresh;
+  O.Budget = &Fresh;
+  IC.setOptions(O);
   lia::QfResult R2 = IC.solve();
   EXPECT_EQ(R2.V, Oracle.V);
   EXPECT_EQ(R2.Stop, StopReason::None);
@@ -513,10 +538,9 @@ TEST(FaultSweepTest, TrippedSolveRetriesOnFreshBudget) {
 }
 
 TEST(BudgetTest, BruteForceTimeoutComposesWithSharedBudget) {
-  // Regression: a caller-supplied Budget used to silently replace the
-  // legacy TimeoutMs deadline in solveBruteForce — an unlimited shared
-  // budget turned a 1 ms deadline into minutes of enumeration. Both are
-  // probed now; the tighter limit wins.
+  // A tight child of an unlimited shared budget still stops the
+  // enumeration: the child's own 1 ms deadline governs, where a bare
+  // shared budget would allow minutes of enumeration.
   Alphabet Sigma;
   std::map<VarId, Nfa> Langs;
   Langs[0] = regex::compileString("(a|b)*", Sigma);
@@ -526,18 +550,18 @@ TEST(BudgetTest, BruteForceTimeoutComposesWithSharedBudget) {
       {tagaut::PredKind::Diseq, {0}, {0}, {}}};
 
   Budget Unlimited(Budget::Limits{0, 0, 0, nullptr});
+  Budget Tight(Unlimited.childLimits(/*CapMs=*/1));
   solver::BruteForceOptions O;
   O.MaxWordLen = 12;
-  O.TimeoutMs = 1;
-  O.Budget = &Unlimited;
+  O.Budget = &Tight;
   solver::BruteForceResult R = solver::solveBruteForce(Langs, Preds, O);
   EXPECT_EQ(R.V, Verdict::Unknown);
   EXPECT_EQ(R.Stop, StopReason::Timeout);
 }
 
 TEST(BudgetTest, BruteForceSharedBudgetComposesWithTimeout) {
-  // The other direction: a step-limited shared budget must still trip
-  // under a generous TimeoutMs.
+  // The other direction: a child with a generous deadline keeps the
+  // step limit of its shared parent and still trips on it.
   Alphabet Sigma;
   std::map<VarId, Nfa> Langs;
   Langs[0] = regex::compileString("(a|b)*", Sigma);
@@ -545,10 +569,10 @@ TEST(BudgetTest, BruteForceSharedBudgetComposesWithTimeout) {
       {tagaut::PredKind::Diseq, {0}, {0}, {}}};
 
   Budget Stepped(Budget::Limits{0, 0, 1, nullptr});
+  Budget Generous(Stepped.childLimits(/*CapMs=*/20000));
   solver::BruteForceOptions O;
   O.MaxWordLen = 12;
-  O.TimeoutMs = 20000;
-  O.Budget = &Stepped;
+  O.Budget = &Generous;
   solver::BruteForceResult R = solver::solveBruteForce(Langs, Preds, O);
   EXPECT_EQ(R.V, Verdict::Unknown);
   EXPECT_EQ(R.Stop, StopReason::StepBudget);

@@ -5,8 +5,9 @@
 //
 // Keeps docs/KNOBS.md from rotting: every `POSTR_*` environment variable
 // the sources read (and every CMake `POSTR_*` option) must appear there,
-// every knob the doc mentions must still exist, and every field of the
-// public options structs must be documented as `Struct::Field`. Pure
+// every knob the doc mentions must still exist, every field of the
+// public options structs must be documented as `Struct::Field`, and every
+// `Struct::Field` row of those structs must name a field that exists. Pure
 // file inspection — no solver linkage; POSTR_SOURCE_DIR is injected by
 // CMake.
 //
@@ -145,18 +146,20 @@ TEST(KnobCoverageTest, KnobsDocMentionsNoDeadKnobs) {
         << " is documented in docs/KNOBS.md but no source reads it";
 }
 
+/// The options structs whose fields docs/KNOBS.md documents one row each.
+const std::pair<const char *, const char *> OptionStructs[] = {
+    {"src/solver/PositionSolver.h", "SolveOptions"},
+    {"src/lia/Solver.h", "QfOptions"},
+    {"src/lia/Mbqi.h", "MbqiOptions"},
+    {"src/tagaut/MpSolver.h", "MpOptions"},
+    {"src/lia/Simplex.h", "PivotPolicy"},
+    {"src/tagaut/Encoder.h", "EncoderOptions"},
+    {"src/eq/Stabilize.h", "StabilizeOptions"},
+};
+
 TEST(KnobCoverageTest, EveryOptionsStructFieldIsInKnobsDoc) {
-  const std::pair<const char *, const char *> Structs[] = {
-      {"src/solver/PositionSolver.h", "SolveOptions"},
-      {"src/lia/Solver.h", "QfOptions"},
-      {"src/lia/Mbqi.h", "MbqiOptions"},
-      {"src/tagaut/MpSolver.h", "MpOptions"},
-      {"src/lia/Simplex.h", "PivotPolicy"},
-      {"src/tagaut/Encoder.h", "EncoderOptions"},
-      {"src/eq/Stabilize.h", "StabilizeOptions"},
-  };
   std::string Doc = slurp(Root / "docs" / "KNOBS.md");
-  for (const auto &[Header, Name] : Structs) {
+  for (const auto &[Header, Name] : OptionStructs) {
     std::vector<std::string> Fields = structFields(Root / Header, Name);
     EXPECT_FALSE(Fields.empty())
         << Name << " parsed to zero fields — parser or header changed?";
@@ -164,6 +167,23 @@ TEST(KnobCoverageTest, EveryOptionsStructFieldIsInKnobsDoc) {
       EXPECT_NE(Doc.find(std::string(Name) + "::" + F), std::string::npos)
           << Name << "::" << F << " (" << Header
           << ") is missing from docs/KNOBS.md";
+  }
+}
+
+TEST(KnobCoverageTest, KnobsDocRowsNameExistingFields) {
+  std::string Doc = slurp(Root / "docs" / "KNOBS.md");
+  for (const auto &[Header, Name] : OptionStructs) {
+    std::vector<std::string> Fields = structFields(Root / Header, Name);
+    std::set<std::string> Known(Fields.begin(), Fields.end());
+    // A table row documenting a field starts with `| `Struct::Field` |`.
+    const std::regex Row("^\\| `" + std::string(Name) + "::(\\w+)` \\|",
+                         std::regex::multiline);
+    for (std::sregex_iterator It(Doc.begin(), Doc.end(), Row), End;
+         It != End; ++It)
+      EXPECT_TRUE(Known.count((*It)[1].str()))
+          << Name << "::" << (*It)[1].str()
+          << " is documented in docs/KNOBS.md but " << Header
+          << " has no such field";
   }
 }
 

@@ -9,14 +9,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "base/Budget.h"
 #include "smtlib/Reader.h"
 #include "solver/Baselines.h"
 #include "solver/PositionSolver.h"
 #include "strings/Eval.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <random>
+#include <thread>
 
 using namespace postr;
 using solver::SolveOptions;
@@ -240,59 +245,30 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PipelineDifferential,
                          ::testing::Values(11u, 12u, 13u, 14u, 15u));
 
 //===----------------------------------------------------------------------===
-// Parallel disjunct pool
+// External cancellation
 //===----------------------------------------------------------------------===
 
-TEST(PipelineTest, ParallelPoolVerdictsMatchSerial) {
-  // Word equations fan stabilization out into several disjuncts; the
-  // pool must produce the same verdict as the serial loop at any thread
-  // count (models may differ — any satisfied disjunct is a witness).
-  // Three fixed shapes: multi-disjunct Sat, Unsat, and ε-heavy Sat.
-  auto MkSat = [] {
-    Problem P;
-    VarId X = P.strVar("x"), Y = P.strVar("y");
-    P.assertInRe(X, "a*");
-    P.assertInRe(Y, "a*");
-    P.assertWordEq({StrElem::var(X), StrElem::var(Y)},
-                   {StrElem::var(Y), StrElem::var(X)});
-    P.assertDiseq({StrElem::var(X)}, {StrElem::var(Y)});
-    return P;
-  };
-  auto MkUnsat = [] {
-    Problem P;
-    VarId X = P.strVar("x"), Y = P.strVar("y");
-    P.assertInRe(X, "ab");
-    P.assertInRe(Y, "(a|b){0,2}");
-    P.assertWordEq({StrElem::var(X)}, {StrElem::var(Y)});
-    P.assertDiseq({StrElem::var(Y)}, {StrElem::lit("ab")});
-    return P;
-  };
-  auto MkPred = [] {
-    Problem P;
-    VarId X = P.strVar("x"), Y = P.strVar("y");
-    P.assertInRe(X, "ab|ba");
-    P.assertInRe(Y, "(a|b){1,2}");
-    P.assertWordEq({StrElem::var(X)}, {StrElem::var(Y)});
-    P.assertPred(AssertKind::NotPrefixof, {StrElem::lit("a")},
-                 {StrElem::var(Y)});
-    return P;
-  };
-  int Case = 0;
-  for (const Problem &P : {MkSat(), MkUnsat(), MkPred()}) {
-    Verdict Serial = Verdict::Unknown;
-    for (uint32_t Threads : {1u, 2u, 4u}) {
-      SolveOptions Opts;
-      Opts.TimeoutMs = 20000;
-      Opts.Threads = Threads;
-      SolveResult R = solver::solveProblem(P, Opts);
-      if (Threads == 1)
-        Serial = R.V;
-      else
-        EXPECT_EQ(R.V, Serial) << "case " << Case << " threads " << Threads;
-    }
-    EXPECT_NE(Serial, Verdict::Unknown) << "case " << Case;
-    ++Case;
-  }
+TEST(PipelineTest, ExternalCancelStopsRunningDisjunct) {
+  // django seed 97 #3 runs far past 20 s in one disjunct. A cancel raised
+  // 300 ms in must stop that disjunct mid-solve, not only at the next
+  // between-disjunct probe (which would let it run to the deadline).
+  Problem P = bench::generate(bench::Family::Django, 97, 3);
+  std::atomic<bool> Cancel{false};
+  Budget Bud(Budget::Limits{20000, 0, 0, &Cancel});
+  SolveOptions Opts;
+  Opts.Budget = &Bud;
+  auto Start = std::chrono::steady_clock::now();
+  std::jthread Canceller([&Cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    Cancel.store(true);
+  });
+  SolveResult R = solver::solveProblem(P, Opts);
+  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - Start)
+                .count();
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::Cancelled);
+  EXPECT_LT(Ms, 2000);
 }
 
 TEST(SelfCheckTest, EmptySideEquationIsSat) {

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "base/Budget.h"
 #include "regex/Regex.h"
 #include "solver/BruteForce.h"
 #include "solver/Semantics.h"
@@ -569,8 +570,9 @@ TEST_P(MpDifferentialTest, AgreesWithBruteForce) {
 
     M.finalize();
     lia::Arena A;
+    Budget Bud(Budget::Limits{30000});
     MpOptions Opts;
-    Opts.TimeoutMs = 30000;
+    Opts.Budget = &Bud;
     MpResult R = solveMP(A, M.Langs, M.Preds, M.Sigma.size(), nullptr,
                          Opts);
     ASSERT_NE(R.V, Verdict::Unknown) << "seed " << Params.Seed << " iter "

@@ -8,9 +8,11 @@
 #   2. Containment — a worker crashing mid-query (x-test-abort) and a
 #                  worker SIGKILLed from the outside both end in a
 #                  correct served verdict, never a daemon crash.
-#   3. Faults    — with POSTR_FAULT_INJECT armed at several sites the
-#                  daemon still answers every corpus query structurally
-#                  (sat/unsat/unknown (reason)) and stays healthy.
+#   3. Faults    — with POSTR_FAULT_INJECT armed at each of the 12
+#                  registered probe sites (faultSiteNames() in
+#                  src/base/Budget.cpp) the daemon still answers every
+#                  corpus query structurally (sat/unsat/unknown (reason))
+#                  and stays healthy.
 #
 # Usage: tools/serve_ci.sh [build-dir]   (default: build)
 
@@ -98,7 +100,10 @@ echo "$STATS" | grep -q '"quarantines": [1-9]' ||
 stop_daemon "$SOCK"
 
 # --- 3. Fault-injection sweep: structured replies, daemon survives -------
-for site in nfa.determinize lia.simplex solver.disjunct; do
+SITES="nfa.intersect nfa.determinize nfa.epsilon eq.stabilize
+       tagaut.encode tagaut.parikh lia.sat lia.simplex lia.mbqi
+       solver.disjunct solver.enum solver.bruteforce"
+for site in $SITES; do
   SOCK=$SOCK_DIR/fault.sock
   start_daemon "$SOCK" POSTR_FAULT_INJECT="$site:1"
   for f in "$CORPUS_DIR"/*.smt2; do
