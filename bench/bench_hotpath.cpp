@@ -227,8 +227,7 @@ int main() {
       "  \"simplex_counters\": {\"pivots\": %llu, \"checks\": %llu, "
       "\"row_fill_in\": %llu, \"max_row_nnz\": %llu, "
       "\"den_normalizations\": %llu, \"rule_switches\": %llu, "
-      "\"pivots_bland\": %llu, \"pivots_markowitz\": %llu, "
-      "\"pivots_sparsest\": %llu, \"pivots_violated\": %llu, "
+      "\"pivots_bland\": %llu, \"pivots_sparsest\": %llu, "
       "\"fence_recoveries\": %llu},\n"
       "  \"mbqi_counters\": {\"candidates\": %llu, \"outer_solves\": %llu, "
       "\"inner_queries\": %llu, \"inst_lemmas\": %llu, \"blockers\": %llu, "
@@ -257,11 +256,7 @@ int main() {
       (unsigned long long)SolveCounters
           .PivotsByRule[static_cast<size_t>(lia::PivotRule::Bland)],
       (unsigned long long)SolveCounters
-          .PivotsByRule[static_cast<size_t>(lia::PivotRule::Markowitz)],
-      (unsigned long long)SolveCounters
           .PivotsByRule[static_cast<size_t>(lia::PivotRule::SparsestRow)],
-      (unsigned long long)SolveCounters
-          .PivotsByRule[static_cast<size_t>(lia::PivotRule::MostViolated)],
       (unsigned long long)SolveCounters.FenceRecoveries,
       (unsigned long long)MbqiCounters.Candidates,
       (unsigned long long)MbqiCounters.OuterSolves,

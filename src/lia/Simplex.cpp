@@ -10,9 +10,6 @@
 #include "base/Budget.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 
 using namespace postr;
@@ -24,39 +21,22 @@ using Int = Rational::Int;
 
 Int lcmInt(Int A, Int B) { return A / Rational::gcdInt(A, B) * B; }
 
-/// Process-wide rule override for A/B runs; nullopt when the variable is
-/// unset and each context's own PivotPolicy applies (the default —
-/// effectively `adaptive`).
-std::optional<PivotRule> ruleFromEnv() {
-  const char *E = std::getenv("POSTR_SIMPLEX_PIVOT_RULE");
-  if (!E)
-    return std::nullopt;
-  if (!std::strcmp(E, "adaptive"))
-    return PivotRule::Adaptive;
-  if (!std::strcmp(E, "bland"))
-    return PivotRule::Bland;
-  if (!std::strcmp(E, "markowitz"))
-    return PivotRule::Markowitz;
-  if (!std::strcmp(E, "sparsest") || !std::strcmp(E, "sparsest-row"))
-    return PivotRule::SparsestRow;
-  if (!std::strcmp(E, "violated") || !std::strcmp(E, "most-violated"))
-    return PivotRule::MostViolated;
-  // A typo must not silently record default-policy numbers under another
-  // rule's name in an A/B table.
-  std::fprintf(stderr,
-               "postr: unrecognized POSTR_SIMPLEX_PIVOT_RULE '%s', "
-               "using the context policy (adaptive)\n",
-               E);
-  return std::nullopt;
-}
-
-/// Read once per process: the Simplex constructor is on the per-disjunct
-/// setup path and the flag is an inter-process A/B knob, not something
-/// that changes mid-run.
-PivotRule applyEnvOverride(PivotRule FromPolicy) {
-  static const std::optional<PivotRule> Env = ruleFromEnv();
-  return Env ? *Env : FromPolicy;
-}
+/// In-check Bland fallback: once a single restoration has made this many
+/// pivots, every further selection in it follows Bland's order, which
+/// terminates unconditionally. A SparsestRow restoration that reaches it
+/// also trips the degrade fence.
+constexpr uint64_t BlandThreshold = 256;
+/// Windowed degrade trigger: DegradeWindowChecks checks averaging more
+/// than DegradeWindowPivotsPerCheck pivots each fence a SparsestRow
+/// context onto Bland (healthy workloads average well under one).
+constexpr uint64_t DegradeWindowChecks = 64;
+constexpr uint64_t DegradeWindowPivotsPerCheck = 8;
+/// Probation: a fenced context re-earns SparsestRow after
+/// RecoveryWindowChecks consecutive checks averaging at most
+/// RecoveryPivotsPerCheck pivots each. Much longer and stricter than the
+/// degrade window, so a genuinely wandering tableau stays fenced.
+constexpr uint64_t RecoveryWindowChecks = 512;
+constexpr uint64_t RecoveryPivotsPerCheck = 1;
 
 } // namespace
 
@@ -67,12 +47,12 @@ size_t Simplex::SparseRow::find(uint32_t X) const {
   return static_cast<size_t>(It - Cols.begin());
 }
 
-Simplex::Simplex(uint32_t NumProblemVars, const PivotPolicy &Policy)
+Simplex::Simplex(uint32_t NumProblemVars, PivotRule Start)
     : NumProblemVars(NumProblemVars), NumVars(NumProblemVars),
       RowOf(NumProblemVars, ~0u), Beta(NumProblemVars),
       Lo(NumProblemVars), Hi(NumProblemVars),
       LoReason(NumProblemVars, NoReason), HiReason(NumProblemVars, NoReason),
-      Policy(Policy), Rule(applyEnvOverride(Policy.Rule)),
+      Start(Start),
       InViolQueue(NumProblemVars, 0), ColCount(NumProblemVars, 0) {
   ColNz.resize(NumProblemVars);
   InColNz.resize(NumProblemVars);
@@ -506,45 +486,18 @@ uint32_t Simplex::selectEntering(uint32_t B, bool NeedIncrease,
   return N;
 }
 
-PivotRule Simplex::activeRule() const {
-  if (Rule != PivotRule::Adaptive)
-    return Rule;
-  if (Degraded)
-    return PivotRule::Bland;
-  // Family start rules, from the ab_pivot_rules.sh measurements (table
-  // in ROADMAP): SparsestRow halves elimination fill-in on the wide
-  // Parikh/length tableaus and wins the solve/mbqi stages at identical
-  // verdicts, so Parikh-heavy — and unclassified — contexts start there
-  // with the degradation fence underneath. Both word-equation
-  // subfamilies (the django/thefuck pipeline shapes) start on Bland: the
-  // post-split ab_pivot_rules.sh re-run still has Bland winning the
-  // pipeline stage (sparsest −25%, markowitz/violated flip verdicts),
-  // and no per-subfamily divergence has shown up yet — the split keeps
-  // the two shapes separately classifiable so a future A/B can tell
-  // them apart without re-plumbing.
-  return Policy.Family == InstanceFamily::WordEqDiseq ||
-                 Policy.Family == InstanceFamily::WordEqPosition
-             ? PivotRule::Bland
-             : PivotRule::SparsestRow;
-}
-
 void Simplex::noteCheckDone(uint64_t PivotsThisCheck) {
-  if (Rule != PivotRule::Adaptive)
+  if (Start == PivotRule::Bland)
     return;
   if (Degraded) {
-    // Probation: a fenced context re-earns its family start rule after a
-    // long window of near-idle checks. The bar is deliberately stricter
-    // than the degrade trigger (default one pivot per check over 8x the
-    // degrade window), so a tableau that keeps wandering never recovers,
-    // while one that degraded on a single bad episode stops paying the
-    // Bland tax for the rest of its (possibly long) incremental life.
-    if (Policy.RecoveryWindowChecks == 0)
-      return;
+    // Probation: a fenced context re-earns SparsestRow after a long
+    // window of near-idle checks, so a tableau that keeps wandering never
+    // recovers, while one that degraded on a single bad episode stops
+    // paying the Bland tax for the rest of its (possibly long)
+    // incremental life.
     RecoveryPivots += PivotsThisCheck;
-    if (++RecoveryChecks >= Policy.RecoveryWindowChecks) {
-      if (RecoveryPivots <=
-          static_cast<uint64_t>(Policy.RecoveryPivotsPerCheck) *
-              RecoveryChecks) {
+    if (++RecoveryChecks >= RecoveryWindowChecks) {
+      if (RecoveryPivots <= RecoveryPivotsPerCheck * RecoveryChecks) {
         Degraded = false;
         ++Stats.FenceRecoveries;
         WindowChecks = WindowPivots = 0; // degrade window restarts clean
@@ -553,24 +506,20 @@ void Simplex::noteCheckDone(uint64_t PivotsThisCheck) {
     }
     return;
   }
-  if (activeRule() == PivotRule::Bland)
-    return;
   // Immediate trigger: the restoration ran into the in-check Bland
-  // fallback — the preferred rule failed to converge on its own and
-  // every later check on this tableau is likely to repeat that.
-  if (PivotsThisCheck >= Policy.DegradeRestorationLen) {
+  // fallback — SparsestRow failed to converge on its own and every later
+  // check on this tableau is likely to repeat that.
+  if (PivotsThisCheck >= BlandThreshold) {
     Degraded = true;
     ++Stats.RuleSwitches;
     return;
   }
   // Windowed trigger: a sustained pivots-per-check average far above the
-  // healthy baseline (well under one on the tag workloads) means the
-  // rule is thrashing short of the hard fallback — fence it too.
+  // healthy baseline means the rule is thrashing short of the hard
+  // fallback — fence it too.
   WindowPivots += PivotsThisCheck;
-  if (++WindowChecks >= Policy.DegradeWindowChecks) {
-    if (WindowPivots >
-        static_cast<uint64_t>(Policy.DegradeWindowPivotsPerCheck) *
-            WindowChecks) {
+  if (++WindowChecks >= DegradeWindowChecks) {
+    if (WindowPivots > DegradeWindowPivotsPerCheck * WindowChecks) {
       Degraded = true;
       ++Stats.RuleSwitches;
     }
@@ -580,26 +529,14 @@ void Simplex::noteCheckDone(uint64_t PivotsThisCheck) {
 
 bool Simplex::checkRational() {
   ++Stats.Checks;
-  // Leaving variable: latched once per check from the context policy
-  // (PivotRule::Adaptive resolves through the family start rule and the
-  // degradation fence — see activeRule()), with POSTR_SIMPLEX_PIVOT_RULE
-  // forcing a fixed rule process-wide for A/B runs (each concrete rule
-  // wins somewhere and blows up somewhere else — A/B over
-  // bench/workloads with bench/ab_pivot_rules.sh before changing the
-  // family start rules; see ROADMAP and docs/BENCH.md). Rule changes
-  // only ever take effect here, at a check boundary — never inside the
-  // pivot loop below. Entering variable: the eligible column with the
-  // fewest tableau nonzeros (anti-fill-in) while the run is short. Past
-  // the threshold every selection falls back to Bland's smallest-index —
+  // Leaving variable: latched once per check (rule changes only ever
+  // take effect here, at a check boundary — never inside the pivot loop
+  // below). Entering variable: the eligible column with the fewest
+  // tableau nonzeros (anti-fill-in) while the run is short. Past the
+  // threshold every selection falls back to Bland's smallest-index —
   // which terminates unconditionally.
   const PivotRule Active = activeRule();
   uint64_t PivotsThisCheck = 0;
-  const uint64_t BlandThreshold = Policy.DegradeRestorationLen;
-  // The Markowitz selection has no anti-cycling guarantee and its free
-  // choice among violated rows can wander on degenerate vertices, so it
-  // only steers the first pivots of a restoration — where the fill-in
-  // damage is done — before handing over to Bland's convergent order.
-  const uint64_t MarkowitzThreshold = 24;
   for (;;) {
     // A single feasibility restoration can pivot for a long time on
     // adversarial tableaus; poll the interrupt and bail out claiming
@@ -630,46 +567,14 @@ bool Simplex::checkRational() {
     }
 
     uint32_t B = ~0u;
-    bool NeedIncrease = false;
-    uint32_t MarkowitzN = ~0u; ///< entering pick when Markowitz chose B
-    // The Markowitz rule exercises leaving-choice freedom only where it
-    // genuinely exists — several rows violated at once (bound bursts,
-    // warm-start restorations) and early in the restoration. The
-    // single-violation DPLL(T) step and long degenerate runs stay on
-    // Bland's convergent order (free choice has no anti-cycling
-    // guarantee and was observed wandering on degenerate vertices).
-    bool Markowitz = !Bland && Active == PivotRule::Markowitz && Keep >= 2 &&
-                     PivotsThisCheck < MarkowitzThreshold;
-    /// Concrete rule this iteration's selection runs under, for the
-    /// per-rule pivot attribution.
-    PivotRule Chose = Active;
-    if (Bland || Active == PivotRule::Bland ||
-        (Active == PivotRule::Markowitz && !Markowitz)) {
-      Chose = PivotRule::Bland;
+    /// Rule this iteration's selection runs under, for the per-rule
+    /// pivot attribution.
+    PivotRule Chose = Bland ? PivotRule::Bland : Active;
+    if (Chose == PivotRule::Bland) {
       for (uint32_t X : ViolQueue)
         if (B == ~0u || X < B)
           B = X;
-    } else if (Markowitz) {
-      uint64_t BestCost = 0;
-      for (uint32_t X : ViolQueue) {
-        bool ViolLo = Lo[X] && Beta[X] < *Lo[X];
-        // A violated row with no eligible entering column certifies
-        // infeasibility — take it immediately (cost "-1", smallest index
-        // on ties) so the conflict path below fires deterministically.
-        uint32_t NX = selectEntering(X, ViolLo, /*Bland=*/false);
-        uint64_t Cost =
-            NX == ~0u
-                ? 0
-                : 1 + static_cast<uint64_t>(Tableau[RowOf[X]].size() - 1) *
-                          (ColCount[NX] > 0 ? ColCount[NX] - 1 : 0);
-        if (B == ~0u || Cost < BestCost || (Cost == BestCost && X < B)) {
-          BestCost = Cost;
-          MarkowitzN = NX;
-          B = X;
-          NeedIncrease = ViolLo;
-        }
-      }
-    } else if (Active == PivotRule::SparsestRow) {
+    } else {
       size_t BestNnz = 0;
       for (uint32_t X : ViolQueue) {
         size_t Nnz = Tableau[RowOf[X]].size();
@@ -678,23 +583,11 @@ bool Simplex::checkRational() {
           B = X;
         }
       }
-    } else { // PivotRule::MostViolated
-      Rational BestViol;
-      for (uint32_t X : ViolQueue) {
-        bool ViolLo = Lo[X] && Beta[X] < *Lo[X];
-        Rational V = ViolLo ? *Lo[X] - Beta[X] : Beta[X] - *Hi[X];
-        if (B == ~0u || BestViol < V || (!(V < BestViol) && X < B)) {
-          BestViol = V;
-          B = X;
-        }
-      }
     }
-    if (!Markowitz)
-      NeedIncrease = Lo[B] && Beta[B] < *Lo[B];
+    bool NeedIncrease = Lo[B] && Beta[B] < *Lo[B];
     ++PivotsThisCheck;
 
-    uint32_t N =
-        Markowitz ? MarkowitzN : selectEntering(B, NeedIncrease, Bland);
+    uint32_t N = selectEntering(B, NeedIncrease, Bland);
     if (N == ~0u) {
       const SparseRow &Row = Tableau[RowOf[B]];
       // The row of B certifies infeasibility: B's violated bound plus the

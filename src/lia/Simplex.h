@@ -49,95 +49,20 @@ namespace lia {
 /// produced only when the branch-and-bound node budget is exhausted.
 enum class TheoryResult { Sat, Unsat, Unknown };
 
-/// Leaving-variable selection rule for the feasibility loop. The
-/// concrete rules are extremely instance-sensitive on the tag-framework
-/// workloads (see docs/BENCH.md and ROADMAP), so the default is
-/// `Adaptive`: each solver context starts on the measured winner for its
-/// instance family and falls back to Bland's when the online signal
-/// degrades. `POSTR_SIMPLEX_PIVOT_RULE` = `adaptive` | `bland` |
-/// `markowitz` | `sparsest` | `violated` forces one rule process-wide
-/// for A/B runs (bench/ab_pivot_rules.sh). Every concrete rule degrades
-/// to Bland's — which terminates unconditionally — once a single check
-/// loops past its pivot threshold.
+/// Leaving-variable selection rule for the feasibility loop. A context
+/// starts on the rule its `QfOptions::Pivot` names. A SparsestRow
+/// context falls back to Bland's when its restorations run long (the
+/// degrade fence) and earns SparsestRow back after a long run of cheap
+/// checks; a Bland context stays on Bland. Either rule hands every
+/// selection to Bland's order once a single check loops past its pivot
+/// threshold, which terminates unconditionally.
 enum class PivotRule : uint8_t {
-  Bland, ///< smallest violated basic index
-  /// Among the violated basics (when several are violated at once — the
-  /// only place leaving-choice freedom exists), choose the (leaving row,
-  /// entering column) pair minimizing the Markowitz fill-in proxy
-  /// (row_nnz − 1)·(col_nnz − 1); ties break toward the smaller basic
-  /// index, and long restorations degrade to Bland's convergent order.
-  /// Wins the pure-Parikh `solve` microbench (−26% row_fill_in, −28%
-  /// time) but loses badly on the thefuck word-equation instances — see
-  /// the ab_pivot_rules.sh table in ROADMAP.
-  Markowitz,
-  SparsestRow,  ///< violated basic with the fewest row nonzeros
-  MostViolated, ///< violated basic with the largest bound violation
-  /// Per-family start rule + dynamic Bland fallback (the default): a
-  /// Parikh/length-heavy context starts on SparsestRow (halves fill-in
-  /// on the Parikh tableaus), a word-equation-heavy one on Bland (the
-  /// only rule that never regressed the django/thefuck pipelines), and
-  /// the moment a restoration runs long or the windowed pivots-per-check
-  /// signal degrades the context drops to Bland for good. Rule changes
-  /// happen only at check boundaries — never mid-pivot-sequence — so
-  /// every individual restoration is a plain run of one concrete rule.
-  Adaptive,
+  Bland,       ///< smallest violated basic index
+  SparsestRow, ///< violated basic with the fewest row nonzeros
 };
 
-/// Instance family of the formulae a solver context will carry, decided
-/// at encode time (solver/PositionSolver classifies each stabilization
-/// disjunct; tagaut/MpSolver classifies from the predicate mix;
-/// lia/Mbqi pins its own contexts). Under PivotRule::Adaptive the family
-/// picks the starting concrete rule.
-enum class InstanceFamily : uint8_t {
-  Unknown,     ///< unclassified (direct solveQF callers): Parikh defaults
-  ParikhHeavy, ///< membership/length constraints only — Parikh tableaus
-  /// Word-equation splits whose position predicates are all plain
-  /// disequalities (or absent): the single-mismatch tag blocks keep the
-  /// tableau narrow.
-  WordEqDiseq,
-  /// Word-equation splits carrying prefix/suffix/at/contains-style
-  /// predicates, whose per-position tag blocks and copy transitions
-  /// build the wide mismatch tableaus.
-  WordEqPosition,
-};
-
-/// Per-context pivot-rule policy, threaded from the options structs
-/// (`QfOptions::Pivot`) into every Simplex a context creates — replacing
-/// the old process-global env read. The `POSTR_SIMPLEX_PIVOT_RULE`
-/// environment variable, when set, still overrides `Rule` process-wide
-/// (that is what keeps A/B runs a flag instead of a rebuild).
-struct PivotPolicy {
-  /// Rule to run; Adaptive (the default) picks per Family with the
-  /// dynamic Bland fallback.
-  PivotRule Rule = PivotRule::Adaptive;
-  /// Family hint for Adaptive; ignored by concrete rules.
-  InstanceFamily Family = InstanceFamily::Unknown;
-  /// Adaptive fallback triggers. A restoration reaching
-  /// DegradeRestorationLen pivots (the in-check Bland fallback point),
-  /// or a window of DegradeWindowChecks checks averaging more than
-  /// DegradeWindowPivotsPerCheck pivots each, permanently degrades the
-  /// context to Bland. Tests shrink these to force the transition on
-  /// small instances; the defaults only fire on genuinely wandering
-  /// tableaus (the healthy workloads average well under one pivot per
-  /// check).
-  uint32_t DegradeRestorationLen = 256;
-  uint32_t DegradeWindowChecks = 64;
-  uint32_t DegradeWindowPivotsPerCheck = 8;
-  /// Probation/recovery for the Bland fence: a degraded context re-earns
-  /// its family start rule after RecoveryWindowChecks consecutive checks
-  /// averaging at most RecoveryPivotsPerCheck pivots each (counted in
-  /// SimplexStats::FenceRecoveries). The recovery window is much longer
-  /// and much stricter than the degrade window, so a genuinely wandering
-  /// tableau stays fenced while a context that degraded on one bad
-  /// episode (e.g. an early CEGAR round) gets its preferred rule back.
-  /// 0 disables recovery and keeps the fence permanently sticky.
-  uint32_t RecoveryWindowChecks = 512;
-  uint32_t RecoveryPivotsPerCheck = 1;
-};
-
-/// Number of concrete (non-Adaptive) PivotRule values, for per-rule
-/// counter arrays.
-constexpr size_t NumConcretePivotRules = 4;
+/// Number of PivotRule values, for per-rule counter arrays.
+constexpr size_t NumPivotRules = 2;
 
 /// Cumulative tableau counters (perf triage; emitted by bench_hotpath as
 /// `simplex_counters`).
@@ -147,22 +72,21 @@ struct SimplexStats {
   uint64_t RowFillIn = 0; ///< entries created by pivot elimination
   uint64_t MaxRowNnz = 0; ///< widest row ever produced
   uint64_t DenNormalizations = 0; ///< row gcd passes that actually reduced
-  uint64_t RuleSwitches = 0; ///< adaptive fallbacks to Bland taken
-  uint64_t FenceRecoveries = 0; ///< degraded contexts re-earning their rule
-  /// Pivots attributed to the concrete rule whose selection chose them
-  /// (indexed by PivotRule; sums to Pivots). Under a fixed non-Bland
-  /// rule the Bland share counts the in-check long-restoration fallback
-  /// and, for Markowitz, the single-violation steps it leaves to Bland.
-  uint64_t PivotsByRule[NumConcretePivotRules] = {0, 0, 0, 0};
+  uint64_t RuleSwitches = 0; ///< degrade-fence fallbacks to Bland taken
+  uint64_t FenceRecoveries = 0; ///< fenced contexts re-earning SparsestRow
+  /// Pivots attributed to the rule whose selection chose them (indexed
+  /// by PivotRule; sums to Pivots). The Bland share includes the
+  /// in-check long-restoration fallback of a SparsestRow context.
+  uint64_t PivotsByRule[NumPivotRules] = {0, 0};
 };
 
 class Simplex {
 public:
   /// \p NumProblemVars original integer variables; indices [0,
-  /// NumProblemVars) coincide with `Arena` variables. \p Policy is the
-  /// owning context's pivot-rule policy; the POSTR_SIMPLEX_PIVOT_RULE
-  /// environment variable (read once per process) overrides its Rule.
-  explicit Simplex(uint32_t NumProblemVars, const PivotPolicy &Policy = {});
+  /// NumProblemVars) coincide with `Arena` variables. \p Start is the
+  /// rule the first checkRational() runs on.
+  explicit Simplex(uint32_t NumProblemVars,
+                   PivotRule Start = PivotRule::SparsestRow);
 
   uint32_t numProblemVars() const { return NumProblemVars; }
 
@@ -307,32 +231,13 @@ public:
   uint64_t numPivots() const { return Stats.Pivots; }
   uint64_t numChecks() const { return Stats.Checks; }
 
-  /// Overrides the leaving-variable rule unconditionally — even past the
-  /// environment override — for in-process A/B experiments and tests.
-  /// Takes effect at the next check boundary; an Adaptive rule set here
-  /// restarts undegraded.
-  void setPivotRule(PivotRule R) {
-    Rule = R;
-    Degraded = false;
-    WindowChecks = WindowPivots = 0;
-    RecoveryChecks = RecoveryPivots = 0;
+  /// The rule the next checkRational() starts on: Bland while the degrade
+  /// fence holds, the start rule otherwise.
+  PivotRule activeRule() const {
+    return Degraded ? PivotRule::Bland : Start;
   }
-  /// Replaces the whole policy (rule, family, fallback thresholds),
-  /// bypassing the environment override; resets the adaptive state.
-  void setPivotPolicy(const PivotPolicy &P) {
-    Policy = P;
-    Rule = P.Rule;
-    Degraded = false;
-    WindowChecks = WindowPivots = 0;
-    RecoveryChecks = RecoveryPivots = 0;
-  }
-  PivotRule pivotRule() const { return Rule; }
-  /// The concrete rule the next checkRational() will start on: resolves
-  /// Adaptive through the family start rule and the degradation state.
-  PivotRule activeRule() const;
-  InstanceFamily family() const { return Policy.Family; }
-  /// True once the adaptive machine has fallen back to Bland for good.
-  bool adaptiveDegraded() const { return Degraded; }
+  /// True while a SparsestRow context is fenced onto Bland.
+  bool degraded() const { return Degraded; }
 
   /// Cooperative interruption: when the callback returns true,
   /// checkInteger() gives up at the next branch node (returning Unknown,
@@ -457,22 +362,20 @@ private:
   bool InBranch = false;
   ConflictCert Cert;
   SimplexStats Stats;
-  PivotPolicy Policy;
-  PivotRule Rule;
-  /// Adaptive state: fallback flag plus the rolling pivots-per-check
-  /// window. The fence is sticky by default — a context whose preferred
-  /// rule wandered once (the django shape) would pay the same degradation
-  /// again every CEGAR/MBQI episode if the fence reopened freely — but a
-  /// degraded context on probation (Policy.RecoveryWindowChecks > 0) can
-  /// re-earn its family start rule after a long window of near-idle
-  /// checks; see noteCheckDone.
+  PivotRule Start;
+  /// Degrade-fence state: fallback flag plus the rolling pivots-per-check
+  /// window. The fence does not reopen freely — a context whose
+  /// SparsestRow wandered once (the django shape) would pay the same
+  /// degradation again every CEGAR/MBQI episode — but a fenced context
+  /// re-earns SparsestRow after a long window of near-idle checks; see
+  /// noteCheckDone.
   bool Degraded = false;
   uint64_t WindowChecks = 0;
   uint64_t WindowPivots = 0;
   uint64_t RecoveryChecks = 0;
   uint64_t RecoveryPivots = 0;
   Budget *Bud = nullptr;
-  /// Folds one finished restoration into the adaptive signal; may flip
+  /// Folds one finished restoration into the fence signal; may flip
   /// Degraded (a check-boundary switch — the restoration that tripped it
   /// already ran to completion under the in-check Bland fallback).
   void noteCheckDone(uint64_t PivotsThisCheck);

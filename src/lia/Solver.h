@@ -50,13 +50,13 @@ struct QfOptions {
   /// Hard cap on theory conflicts before giving up (Unknown); a runaway
   /// backstop, not a tuning knob.
   uint32_t MaxTheoryConflicts = 2000000;
-  /// Simplex pivot-rule policy for this context's theory backend:
-  /// adaptive per-family selection by default, with the instance family
-  /// classified at encode time (solver/PositionSolver per stabilization
-  /// disjunct, tagaut/MpSolver from the predicate mix, lia/Mbqi for its
-  /// own contexts). POSTR_SIMPLEX_PIVOT_RULE overrides the rule
-  /// process-wide for A/B runs.
-  PivotPolicy Pivot;
+  /// Simplex start rule for this context's theory backend. SparsestRow
+  /// (the default) runs under the degrade fence, which falls back to
+  /// Bland on a wandering tableau and recovers after a long cheap run;
+  /// Bland stays Bland. The encoding layers pick Bland for word-equation
+  /// splits (solver/PositionSolver), systems with position predicates
+  /// (tagaut/MpSolver) and degraded retries.
+  PivotRule Pivot = PivotRule::SparsestRow;
   /// Optional shared resource budget (deadline, memory cap, steps,
   /// cancel flag; null = unlimited): the CDCL core, Simplex, and the
   /// clause DB probe and charge against it, and its trip reason surfaces
@@ -87,14 +87,13 @@ struct QfSearchStats {
   uint64_t MaxRowNnz = 0;      ///< widest tableau row ever produced
   uint64_t DenNormalizations = 0; ///< row gcd passes that reduced
   uint64_t TheoryConflicts = 0;
-  uint64_t RuleSwitches = 0; ///< adaptive pivot-rule fallbacks to Bland
-  uint64_t FenceRecoveries = 0; ///< degraded contexts re-earning their rule
+  uint64_t RuleSwitches = 0; ///< degrade-fence fallbacks to Bland
+  uint64_t FenceRecoveries = 0; ///< fenced contexts re-earning SparsestRow
   uint64_t BudgetTrips = 0;     ///< solves stopped by a resource budget
   uint64_t DegradedRetries = 0; ///< disjuncts re-run in degraded config
-  /// Simplex pivots attributed to each concrete rule (indexed by
-  /// PivotRule; sums to Pivots) — the per-rule pivot shares in the bench
-  /// JSON.
-  uint64_t PivotsByRule[NumConcretePivotRules] = {0, 0, 0, 0};
+  /// Simplex pivots attributed to each rule (indexed by PivotRule; sums
+  /// to Pivots) — the per-rule pivot shares in the bench JSON.
+  uint64_t PivotsByRule[NumPivotRules] = {0, 0};
 
   QfSearchStats &operator+=(const QfSearchStats &O) {
     Conflicts += O.Conflicts;
@@ -113,7 +112,7 @@ struct QfSearchStats {
     FenceRecoveries += O.FenceRecoveries;
     BudgetTrips += O.BudgetTrips;
     DegradedRetries += O.DegradedRetries;
-    for (size_t R = 0; R < NumConcretePivotRules; ++R)
+    for (size_t R = 0; R < NumPivotRules; ++R)
       PivotsByRule[R] += O.PivotsByRule[R];
     return *this;
   }

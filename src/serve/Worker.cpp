@@ -49,8 +49,8 @@ int exitCodeFor(const solver::SolveResult &R) {
 /// internal degraded retry (solver/PositionSolver.cpp): Bland pivoting
 /// (slow but convergence-guaranteed) and tightened MBQI bounds.
 void applyDegraded(solver::SolveOptions &O) {
-  O.Mp.Qf.Pivot.Rule = lia::PivotRule::Bland;
-  O.Mp.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
+  O.Mp.Qf.Pivot = lia::PivotRule::Bland;
+  O.Mp.Mbqi.Qf.Pivot = lia::PivotRule::Bland;
   O.Mp.Mbqi.MaxCandidates = std::min<uint32_t>(O.Mp.Mbqi.MaxCandidates, 16);
   O.Mp.Mbqi.MaxOffsets = std::min<int64_t>(O.Mp.Mbqi.MaxOffsets, 512);
 }

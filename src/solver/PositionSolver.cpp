@@ -240,28 +240,17 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
 
   tagaut::MpOptions MpOpts = Opts.Mp;
   MpOpts.Certify = CertOut != nullptr;
-  // Adaptive pivot-rule family, decided where the disjunct is created: a
-  // decomposition whose substitution actually split or renamed a
+  // A decomposition whose substitution actually split or renamed a
   // variable came out of word-equation solving (the thefuck/django
   // shapes — equality tests, positive prefix/suffix dispatch — whose
-  // pipelines the A/B measured as Bland territory), with the subfamily
-  // picked from the substituted predicate mix: any
-  // prefix/suffix/at/contains predicate means the wide per-position tag
-  // blocks (WordEqPosition), otherwise — disequalities only, or no
-  // predicates left after substitution — the narrow diseq shape
-  // (WordEqDiseq). Identity decompositions stay Unknown and
-  // tagaut/MpSolver refines from the predicate mix; MBQI contexts
-  // classify themselves (lia/Mbqi).
-  if (MpOpts.Qf.Pivot.Family == lia::InstanceFamily::Unknown) {
-    for (const auto &[X, Rep] : D.Subst)
-      if (Rep.size() != 1 || Rep.front() != X) {
-        lia::InstanceFamily F = tagaut::classifyFamily(Preds);
-        MpOpts.Qf.Pivot.Family = F == lia::InstanceFamily::WordEqPosition
-                                     ? F
-                                     : lia::InstanceFamily::WordEqDiseq;
-        break;
-      }
-  }
+  // pipelines SparsestRow loses on): its QF contexts start on Bland.
+  // Identity decompositions keep the caller's rule, and tagaut/MpSolver
+  // switches to Bland when position predicates are present.
+  for (const auto &[X, Rep] : D.Subst)
+    if (Rep.size() != 1 || Rep.front() != X) {
+      MpOpts.Qf.Pivot = lia::PivotRule::Bland;
+      break;
+    }
 
   // Child budget: the root's remaining time plus the full memory/step
   // allowance.
@@ -281,8 +270,8 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       (R.Stop == StopReason::MemOut || R.Stop == StopReason::StepBudget)) {
     ++Stats.DegradedRetries;
     tagaut::MpOptions Deg = MpOpts;
-    Deg.Qf.Pivot.Rule = lia::PivotRule::Bland;
-    Deg.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
+    Deg.Qf.Pivot = lia::PivotRule::Bland;
+    Deg.Mbqi.Qf.Pivot = lia::PivotRule::Bland;
     Deg.Mbqi.MaxCandidates = std::min<uint32_t>(Deg.Mbqi.MaxCandidates, 16);
     Deg.Mbqi.MaxOffsets = std::min<int64_t>(Deg.Mbqi.MaxOffsets, 512);
     // Fresh limits: the root's remaining time has shrunk by the first

@@ -339,20 +339,21 @@ FormulaId SystemBuilder::buildPredicateSat(const ParikhFormula &Pf,
                    mismatchDisjunction(Pf, Sv, D, Pred.Kind, Zero)});
   case PredKind::StrAtEq:
   case PredKind::StrAtNe: {
-    // Sec. 6.3. The left side is the single variable xs; its sample is
-    // its only letter whenever |xs| = 1.
-    assert(Pred.Lhs.size() == 1 && "str.at left side must be one variable");
+    // Sec. 6.3. The left side is xs — one variable, or several when a
+    // decomposition split it; the sample is its only letter whenever
+    // |xs| = 1, and sits in whichever left variable holds that letter.
     LinTerm T = Pred.AtPos;
     FormulaId InBounds =
         A.conj({A.cmp(T, Cmp::Ge, LinTerm(0)), A.cmp(T, Cmp::Lt, TotalR)});
     LinTerm PR = LinTerm::variable(Sv.P[D][1]);
-    // ⋁_j: the right-side sample sits exactly at position t (Eq. 25).
+    // ⋁_{i,j}: the right-side sample sits exactly at position t (Eq. 25).
     std::vector<FormulaId> AtCases;
-    for (size_t J = 0; J < Pred.Rhs.size(); ++J)
-      AtCases.push_back(
-          A.conj({existsIn(Pf, D, Side::L, Pred.Lhs[0]),
-                  existsIn(Pf, D, Side::R, Pred.Rhs[J]),
-                  A.cmp(T, Cmp::Eq, prefixLen(Pf, Pred.Rhs, J) + PR)}));
+    for (size_t I = 0; I < Pred.Lhs.size(); ++I)
+      for (size_t J = 0; J < Pred.Rhs.size(); ++J)
+        AtCases.push_back(
+            A.conj({existsIn(Pf, D, Side::L, Pred.Lhs[I]),
+                    existsIn(Pf, D, Side::R, Pred.Rhs[J]),
+                    A.cmp(T, Cmp::Eq, prefixLen(Pf, Pred.Rhs, J) + PR)}));
     FormulaId AtMatch = A.disj(std::move(AtCases));
     FormulaId SymCmp =
         A.cmp(LinTerm::variable(Sv.M[D][0]),

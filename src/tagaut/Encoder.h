@@ -54,7 +54,8 @@ enum class PredKind {
 /// One position predicate over variable-occurrence sequences.
 struct PosPredicate {
   PredKind Kind;
-  /// Left side occurrences; for StrAt* this is the single variable xs.
+  /// Left side occurrences; for StrAt* this is xs (one variable, or the
+  /// variables a word-equation split substituted for it).
   std::vector<VarId> Lhs;
   /// Right side occurrences.
   std::vector<VarId> Rhs;

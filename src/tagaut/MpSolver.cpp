@@ -88,14 +88,10 @@ bool sidesForcedEqual(const std::map<VarId, automata::Nfa> &Langs,
 
 } // namespace
 
-lia::InstanceFamily
-postr::tagaut::classifyFamily(const std::vector<PosPredicate> &Preds) {
-  if (Preds.empty())
-    return lia::InstanceFamily::ParikhHeavy;
-  for (const PosPredicate &P : Preds)
-    if (P.Kind != PredKind::Diseq)
-      return lia::InstanceFamily::WordEqPosition;
-  return lia::InstanceFamily::WordEqDiseq;
+lia::PivotRule
+postr::tagaut::startRule(lia::PivotRule Requested,
+                         const std::vector<PosPredicate> &Preds) {
+  return Preds.empty() ? Requested : lia::PivotRule::Bland;
 }
 
 MpResult postr::tagaut::solveMP(lia::Arena &A,
@@ -216,22 +212,7 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     proof::QfTraceBuilder Trace;
     if (Opts.Certify)
       Qf.Proof = &Trace;
-    // Family classification for the adaptive pivot rule, from the
-    // predicate mix the encoder was handed (unless the caller — the
-    // position pipeline, which also sees the word-equation split — has
-    // classified already): a system with mismatch-style predicates
-    // encodes the 2K+1-copy position structure whose tableaus the
-    // pipeline A/B measured as Bland territory, while a bare
-    // membership + length system is exactly the Parikh-formula load
-    // where SparsestRow halves the fill-in. The word-equation side
-    // splits further on the predicate mix: disequalities alone build
-    // the narrow single-mismatch blocks (WordEqDiseq), while
-    // prefix/suffix/at/contains predicates build the wide per-position
-    // ones (WordEqPosition) — both currently start on Bland, but the
-    // subfamilies are tracked separately so ab_pivot_rules.sh can
-    // measure them apart.
-    if (Qf.Pivot.Family == lia::InstanceFamily::Unknown)
-      Qf.Pivot.Family = classifyFamily(Preds);
+    Qf.Pivot = startRule(Qf.Pivot, Preds);
     if (!Qf.Budget)
       Qf.Budget = Bud;
     // Connectivity CEGAR: under SpanMode::Lazy every Sat model is only

@@ -152,7 +152,6 @@ const std::pair<const char *, const char *> OptionStructs[] = {
     {"src/lia/Solver.h", "QfOptions"},
     {"src/lia/Mbqi.h", "MbqiOptions"},
     {"src/tagaut/MpSolver.h", "MpOptions"},
-    {"src/lia/Simplex.h", "PivotPolicy"},
     {"src/tagaut/Encoder.h", "EncoderOptions"},
     {"src/eq/Stabilize.h", "StabilizeOptions"},
 };

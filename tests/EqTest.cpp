@@ -28,19 +28,32 @@ struct Fixture {
   std::vector<WordEquation> Eqs;
   VarId Next = 0;
 
+  /// Declares a variable constrained to \p Re. Its letters join Sigma
+  /// now; its language is compiled by finalize(), once the alphabet is
+  /// closed — compiled here, an earlier variable's automaton would range
+  /// over fewer letters than a later one's.
   VarId var(const std::string &Re) {
     VarId X = Next++;
-    Langs[X] = regex::compileString(Re, Sigma);
+    Result<regex::NodePtr> R = regex::parse(Re);
+    assert(R && "bad regex in test");
+    regex::collectAlphabet(**R, Sigma);
+    PendingRegex.emplace_back(X, std::move(*R));
     return X;
   }
 
+  void finalize() {
+    for (auto &[X, Node] : PendingRegex)
+      Langs[X] = regex::compile(*Node, Sigma);
+    PendingRegex.clear();
+  }
+
   StabilizeResult run(const StabilizeOptions &Opts = {}) {
-    // Close the alphabet for every language: recompiling is not needed
-    // because compileString interns eagerly in declaration order and the
-    // tests only compare words, not complements.
+    finalize();
     VarId Fresh = Next + 100;
     return stabilize(Langs, Eqs, Fresh, Opts);
   }
+
+  std::vector<std::pair<VarId, regex::NodePtr>> PendingRegex;
 };
 
 /// Checks the monadic-decomposition contract on one disjunct by sampling
@@ -231,6 +244,7 @@ TEST(StabilizeTest, TinyBudgetsNeverFlipVerdicts) {
 TEST(StabilizeTest, EmptyLanguageShortCircuit) {
   Fixture F;
   VarId X = F.var("a"), Y = F.var("b");
+  F.finalize();
   F.Langs[Y] = automata::Nfa::emptyLanguage(F.Sigma.size());
   F.Eqs.push_back({{X}, {Y}});
   StabilizeResult R = F.run();

@@ -90,6 +90,29 @@ TEST(FuzzDiffTest, Smoke500IterationsFindNothing) {
   EXPECT_GE(Determinate, 200u);
 }
 
+TEST(FuzzDiffTest, StrAtOverSplitLeftSideRegression) {
+  // Iteration 62 of the smoke sweep (seed mix(1, 62)): stabilization
+  // rewrites s1 into several variables, so the str.at predicate reaches
+  // the tag-automaton encoder with a multi-variable left side. Sat, with
+  // a validated model, and no disagreement with the oracle.
+  Result<Problem> P = smtlib::parseString(
+      "(declare-fun s0 () String)\n"
+      "(declare-fun s1 () String)\n"
+      "(assert (= (str.++ s1 s1 s1) (str.++ s1 \"b\" s0)))\n"
+      "(assert (not (= s1 (str.at (str.++ \"ba\" s1) 0))))\n"
+      "(assert (not (str.prefixof (str.++ \"aa\" s0) s1)))\n"
+      "(assert (str.in_re s1 (re.opt (re.++ (re.++ (str.to_re \"b\") "
+      "(str.to_re \"a\") re.allchar) (re.+ (str.to_re \"a\"))))))\n");
+  ASSERT_TRUE(static_cast<bool>(P)) << P.error();
+  solver::SolveResult R = solver::solveProblem(*P);
+  EXPECT_EQ(R.V, Verdict::Sat);
+  EXPECT_GE(R.Stats.ModelsValidated, 1u);
+  EXPECT_EQ(R.Stats.ValidationFailures, 0u);
+  DiffResult D = fuzz::differentialCheck(*P, smokeOptions());
+  EXPECT_EQ(D.Kind, FailureKind::None)
+      << fuzz::failureKindName(D.Kind) << " — " << D.Detail;
+}
+
 TEST(FuzzShrinkTest, ShrinksTamperedSatToMinimalRepro) {
   // Inject a model-corruption bug through the test-only hook: every Sat
   // turns into a self-check ValidationFailure. The shrinker must converge

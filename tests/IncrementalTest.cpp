@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 
 using namespace postr;
@@ -413,32 +412,25 @@ struct AdaptivePinParams {
 class AdaptivePivotRuleSweep
     : public ::testing::TestWithParam<AdaptivePinParams> {};
 
-/// The per-family fence pins: the pivot-rule A/B measured SparsestRow
-/// losing 37% end-to-end on the django prefix/suffix-dispatch shapes
-/// (and Markowitz stalling the thefuck word equations), which is why
-/// word-equation-heavy disjuncts start on Bland and the adaptive
-/// machine degrades to Bland on a bad signal. Pin the default
-/// (adaptive) configuration to the forced-Bland verdicts — if the
-/// classification or the fence regresses, the verdicts (or a blown
-/// deadline) catch it.
+/// The start-rule and fence pins: SparsestRow lost 37% end-to-end on
+/// the django prefix/suffix-dispatch shapes, which is why word-equation
+/// splits and systems with position predicates start on Bland and a
+/// SparsestRow context degrades to Bland on a bad signal. Pin the
+/// default configuration to the forced-Bland verdicts — if the start-rule
+/// choice or the fence regresses, the verdicts (or a blown deadline)
+/// catch it.
 TEST_P(AdaptivePivotRuleSweep, AdaptiveMatchesBland) {
-  // The env override is applied process-wide in the Simplex constructor,
-  // so under POSTR_SIMPLEX_PIVOT_RULE both legs below would run the same
-  // forced rule: the pin compares a rule against itself and the
-  // RequireDecided deadlines may spuriously blow under a slow rule.
-  if (std::getenv("POSTR_SIMPLEX_PIVOT_RULE"))
-    GTEST_SKIP() << "POSTR_SIMPLEX_PIVOT_RULE forces both legs to one rule";
   AdaptivePinParams P = GetParam();
   strings::Problem Prob = bench::generate(P.F, P.Seed, P.Index);
 
   solver::SolveOptions O;
   O.TimeoutMs = 30000;
   O.ValidateModels = false;
-  // Default: PivotRule::Adaptive with per-disjunct classification.
+  // Default: SparsestRow, with the per-disjunct start-rule choice.
   solver::SolveResult Adaptive = solver::solveProblem(Prob, O);
 
-  O.Mp.Qf.Pivot.Rule = lia::PivotRule::Bland;
-  O.Mp.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
+  O.Mp.Qf.Pivot = lia::PivotRule::Bland;
+  O.Mp.Mbqi.Qf.Pivot = lia::PivotRule::Bland;
   solver::SolveResult Bland = solver::solveProblem(Prob, O);
 
   EXPECT_EQ(Adaptive.V, Bland.V)

@@ -370,15 +370,12 @@ TEST(SimplexTest, SnapshotRestore) {
 /// (one `vector<Rational>` per row, per-entry normalization) and fixed
 /// selection rules: Bland's smallest violated basic leaving,
 /// fewest-column-nonzeros entering with smaller-index tie-break, Bland
-/// fallback past 256 pivots. The production Simplex is explicitly
-/// pinned to PivotRule::Bland for this comparison (Bland is also the
-/// shipped default, but the pin keeps this representation-equivalence
-/// test independent of any future default-rule change; alternate rules
-/// legitimately pivot differently and are covered by
-/// AlternatePivotRulesStaySound); identical rules + exact arithmetic
-/// means the pivot sequences coincide, so the sparse implementation
-/// must reproduce the reference β exactly, not just the feasibility
-/// verdict.
+/// fallback past 256 pivots. The production Simplex is started on
+/// PivotRule::Bland for this comparison (SparsestRow legitimately pivots
+/// differently and is covered by PivotRulesStaySound); identical rules +
+/// exact arithmetic means the pivot sequences coincide, so the sparse
+/// implementation must reproduce the reference β exactly, not just the
+/// feasibility verdict.
 class DenseRefSimplex {
 public:
   static constexpr uint32_t NoReason = ~0u;
@@ -655,8 +652,7 @@ TEST(SimplexTest, SparseMatchesDenseReferenceExactly) {
   std::mt19937 Rng(20250726);
   for (int Iter = 0; Iter < 60; ++Iter) {
     const uint32_t K = 5;
-    Simplex Sparse(K);
-    Sparse.setPivotRule(PivotRule::Bland);
+    Simplex Sparse(K, PivotRule::Bland);
     DenseRefSimplex Dense(K);
     std::vector<std::pair<size_t, size_t>> Marks; // (sparse, dense)
     uint32_t NextReason = 100;
@@ -736,20 +732,18 @@ TEST(SimplexTest, SparseMatchesDenseReferenceExactly) {
   }
 }
 
-TEST(SimplexTest, AlternatePivotRulesStaySound) {
-  // markowitz / sparsest-row / most-violated change the pivot sequence,
-  // so β may legitimately differ from the reference — but feasibility
-  // verdicts are representation- and rule-independent, and any feasible
-  // β must satisfy every asserted bound and every registered row
-  // definition.
-  for (PivotRule Rule : {PivotRule::Markowitz, PivotRule::SparsestRow,
-                         PivotRule::MostViolated}) {
+TEST(SimplexTest, PivotRulesStaySound) {
+  // Both rules may pivot differently from the reference, so β may
+  // legitimately differ — but feasibility verdicts are representation-
+  // and rule-independent, any feasible β must satisfy every registered
+  // row definition, and the per-rule attribution must account for every
+  // pivot.
+  for (PivotRule Rule : {PivotRule::Bland, PivotRule::SparsestRow}) {
     std::mt19937 Rng(777 + static_cast<uint32_t>(Rule));
     for (int Iter = 0; Iter < 30; ++Iter) {
       const uint32_t K = 5;
-      Simplex Sparse(K);
+      Simplex Sparse(K, Rule);
       DenseRefSimplex Dense(K);
-      Sparse.setPivotRule(Rule);
       std::vector<std::pair<LinTerm, uint32_t>> Rows;
       auto Register = [&] {
         LinTerm T;
@@ -795,148 +789,47 @@ TEST(SimplexTest, AlternatePivotRulesStaySound) {
           }
         }
       }
+      const SimplexStats &St = Sparse.stats();
+      EXPECT_EQ(St.PivotsByRule[0] + St.PivotsByRule[1], St.Pivots)
+          << "per-rule pivot attribution does not sum to the pivot count";
+      if (Rule == PivotRule::Bland)
+        EXPECT_EQ(St.PivotsByRule[static_cast<size_t>(PivotRule::SparsestRow)],
+                  0u);
     }
   }
 }
 
-TEST(SimplexTest, RandomizedRuleSwitchesStaySound) {
-  // The adaptive policy changes the leaving rule between checks (never
-  // inside one), so the property that matters is: an arbitrary sequence
-  // of rule switches at check boundaries still produces exactly the
-  // Bland oracle's feasibility verdicts, and every feasible vertex
-  // satisfies all bounds and row definitions. Drive a randomized switch
-  // schedule — harsher than anything the adaptive machine does — against
-  // the dense Bland reference.
-  const PivotRule AllRules[] = {PivotRule::Bland, PivotRule::Markowitz,
-                                PivotRule::SparsestRow,
-                                PivotRule::MostViolated,
-                                PivotRule::Adaptive};
-  std::mt19937 Rng(424242);
-  for (int Iter = 0; Iter < 40; ++Iter) {
-    const uint32_t K = 5;
-    PivotPolicy Policy;
-    Policy.Family = Rng() % 2 ? InstanceFamily::ParikhHeavy
-                              : InstanceFamily::WordEqPosition;
-    Simplex Sparse(K, Policy);
-    DenseRefSimplex Dense(K);
-    std::vector<std::pair<LinTerm, uint32_t>> Rows;
-    auto Register = [&] {
-      LinTerm T;
-      uint32_t Width = 1 + Rng() % 4;
-      for (uint32_t I = 0; I < Width; ++I)
-        T += LinTerm::variable(Rng() % K, static_cast<int64_t>(Rng() % 7) - 3);
-      if (T.coeffs().empty())
-        T += LinTerm::variable(Rng() % K);
-      uint32_t H = Sparse.rowFor(T);
-      ASSERT_EQ(H, Dense.rowFor(T));
-      Rows.push_back({T, H});
-    };
-    for (int I = 0; I < 5; ++I)
-      Register();
-    uint32_t NextReason = 100;
-    for (int Op = 0; Op < 80; ++Op) {
-      uint32_t X = Rows[Rng() % Rows.size()].second;
-      Rational V(static_cast<int64_t>(Rng() % 31) - 15,
-                 (Rng() % 4 == 0) ? 2 : 1);
-      uint32_t Reason = NextReason++;
-      bool Upper = Rng() % 2;
-      bool OkS = Upper ? Sparse.assertUpper(X, V, Reason)
-                       : Sparse.assertLower(X, V, Reason);
-      bool OkD = Upper ? Dense.assertUpper(X, V, Reason)
-                       : Dense.assertLower(X, V, Reason);
-      ASSERT_EQ(OkS, OkD);
-      if (!OkS)
-        break;
-      if (Op % 4 == 3) {
-        // Check boundary: legal switch point. setPivotRule resets the
-        // adaptive degradation, which is also legal between checks.
-        Sparse.setPivotRule(AllRules[Rng() % 5]);
-        bool FeasS = Sparse.checkRational();
-        ASSERT_EQ(FeasS, Dense.checkRational())
-            << "verdict diverged under switched rules, iteration " << Iter;
-        if (!FeasS)
-          break;
-        for (const auto &[T, H] : Rows) {
-          Rational Sum;
-          for (auto [Var, C] : T.coeffs())
-            Sum += Rational(C) * Sparse.value(Var);
-          ASSERT_EQ(Sum, Sparse.value(H))
-              << "row definition violated, iteration " << Iter;
-        }
-      }
-    }
-    const SimplexStats &St = Sparse.stats();
-    uint64_t ByRule = 0;
-    for (size_t R = 0; R < NumConcretePivotRules; ++R)
-      ByRule += St.PivotsByRule[R];
-    EXPECT_EQ(ByRule, St.Pivots)
-        << "per-rule pivot attribution does not sum to the pivot count";
+TEST(SimplexTest, SparsestRowFencesToBlandAndRecovers) {
+  // The degrade fence at its production thresholds, on a tableau wide
+  // enough to trip it: 60 variables, 120 rows, bursts of 40 bounds per
+  // check. The fence must only change pivot order — every verdict is
+  // pinned against the dense Bland reference across the switch. Then a
+  // run of checks that add no bounds (zero pivots each) must lift the
+  // fence exactly at the end of the 512-check probation window.
+  const uint32_t K = 60;
+  std::mt19937 Rng(1000);
+  Simplex Sparse(K);
+  ASSERT_EQ(Sparse.activeRule(), PivotRule::SparsestRow);
+  DenseRefSimplex Dense(K);
+  std::vector<uint32_t> Handles;
+  while (Handles.size() < 120) {
+    LinTerm T;
+    uint32_t Width = 2 + Rng() % 3;
+    for (uint32_t I = 0; I < Width; ++I)
+      T += LinTerm::variable(Rng() % K, Rng() % 2 ? 1 : -1);
+    if (T.coeffs().size() < 2)
+      continue;
+    uint32_t H = Sparse.rowFor(T);
+    ASSERT_EQ(H, Dense.rowFor(T));
+    Handles.push_back(H);
   }
-}
-
-TEST(SimplexTest, AdaptiveStartRuleFollowsFamily) {
-  // setPivotPolicy bypasses the POSTR_SIMPLEX_PIVOT_RULE override, so
-  // the expectations hold in any environment.
-  PivotPolicy P;
-  P.Family = InstanceFamily::ParikhHeavy;
-  Simplex Parikh(2);
-  Parikh.setPivotPolicy(P);
-  EXPECT_EQ(Parikh.activeRule(), PivotRule::SparsestRow);
-  P.Family = InstanceFamily::WordEqDiseq;
-  Simplex WordEqD(2);
-  WordEqD.setPivotPolicy(P);
-  EXPECT_EQ(WordEqD.activeRule(), PivotRule::Bland);
-  P.Family = InstanceFamily::WordEqPosition;
-  Simplex WordEqP(2);
-  WordEqP.setPivotPolicy(P);
-  EXPECT_EQ(WordEqP.activeRule(), PivotRule::Bland);
-  P.Family = InstanceFamily::Unknown;
-  Simplex Unclassified(2);
-  Unclassified.setPivotPolicy(P);
-  EXPECT_EQ(Unclassified.activeRule(), PivotRule::SparsestRow);
-  // A forced concrete rule resolves to itself regardless of family.
-  Unclassified.setPivotRule(PivotRule::MostViolated);
-  EXPECT_EQ(Unclassified.activeRule(), PivotRule::MostViolated);
-}
-
-TEST(SimplexTest, AdaptiveFallsBackToBlandWhenSignalDegrades) {
-  // Shrink the fallback thresholds so a modest instance trips both
-  // triggers, and pin the degraded solver against the Bland oracle: the
-  // fence must only change pivot order, never verdicts or models'
-  // validity. This is the unit-level pin of the django-family fence (the
-  // workload-level pin is IncrementalTest's
-  // Sweep/AdaptivePivotRuleSweep.AdaptiveMatchesBland).
-  std::mt19937 Rng(99173);
-  bool SawSwitch = false;
-  for (int Iter = 0; Iter < 30 && !SawSwitch; ++Iter) {
-    const uint32_t K = 6;
-    PivotPolicy Policy;
-    Policy.Family = InstanceFamily::ParikhHeavy; // starts on SparsestRow
-    Policy.DegradeRestorationLen = 4;
-    Policy.DegradeWindowChecks = 4;
-    Policy.DegradeWindowPivotsPerCheck = 1;
-    Simplex Sparse(K, Policy);
-    Sparse.setPivotPolicy(Policy); // bypass any env override, keep Adaptive
-    DenseRefSimplex Dense(K);
-    std::vector<uint32_t> Handles;
-    auto Register = [&] {
-      LinTerm T;
-      uint32_t Width = 2 + Rng() % 3;
-      for (uint32_t I = 0; I < Width; ++I)
-        T += LinTerm::variable(Rng() % K, static_cast<int64_t>(Rng() % 7) - 3);
-      if (T.coeffs().empty())
-        T += LinTerm::variable(Rng() % K);
-      uint32_t H = Sparse.rowFor(T);
-      ASSERT_EQ(H, Dense.rowFor(T));
-      Handles.push_back(H);
-    };
-    for (int I = 0; I < 7; ++I)
-      Register();
-    const size_t BaseS = Sparse.mark(), BaseD = Dense.mark();
-    uint32_t NextReason = 100;
-    for (int Op = 0; Op < 200; ++Op) {
+  const size_t BaseS = Sparse.mark(), BaseD = Dense.mark();
+  uint32_t NextReason = 100;
+  int Check = 0;
+  for (; Check < 2000 && !Sparse.degraded(); ++Check) {
+    for (int I = 0; I < 40; ++I) {
       uint32_t X = Handles[Rng() % Handles.size()];
-      Rational V(static_cast<int64_t>(Rng() % 41) - 20, 1);
+      Rational V(static_cast<int64_t>(Rng() % 41) - 20);
       uint32_t Reason = NextReason++;
       bool Upper = Rng() % 2;
       bool OkS = Upper ? Sparse.assertUpper(X, V, Reason)
@@ -944,26 +837,39 @@ TEST(SimplexTest, AdaptiveFallsBackToBlandWhenSignalDegrades) {
       bool OkD = Upper ? Dense.assertUpper(X, V, Reason)
                        : Dense.assertLower(X, V, Reason);
       ASSERT_EQ(OkS, OkD);
-      if (!OkS)
-        continue; // direct bound clash; keep the run going
-      bool FeasS = Sparse.checkRational();
-      ASSERT_EQ(FeasS, Dense.checkRational())
-          << "verdict diverged across the fallback, iteration " << Iter;
-      if (!FeasS) {
-        // Loosen everything so the run keeps producing restorations.
-        Sparse.rollback(BaseS);
-        Dense.rollback(BaseD);
-      }
     }
-    if (Sparse.adaptiveDegraded()) {
-      SawSwitch = true;
-      EXPECT_GE(Sparse.stats().RuleSwitches, 1u);
-      // Sticky: once fenced, every later check starts on Bland.
-      EXPECT_EQ(Sparse.activeRule(), PivotRule::Bland);
+    bool FeasS = Sparse.checkRational();
+    ASSERT_EQ(FeasS, Dense.checkRational())
+        << "verdict diverged around the fence, check " << Check;
+    if (!FeasS) {
+      // Loosen everything so the run keeps producing restorations.
+      Sparse.rollback(BaseS);
+      Dense.rollback(BaseD);
     }
   }
-  EXPECT_TRUE(SawSwitch)
-      << "no instance tripped the shrunken degradation thresholds";
+  ASSERT_TRUE(Sparse.degraded())
+      << "no restoration pattern tripped the degrade fence in " << Check
+      << " checks";
+  // The windowed trigger fires at the end of the first 64-check window
+  // (no single restoration reaches the 256-pivot immediate trigger here).
+  EXPECT_EQ(Check, 64);
+  EXPECT_EQ(Sparse.stats().RuleSwitches, 1u);
+  EXPECT_EQ(Sparse.activeRule(), PivotRule::Bland);
+
+  Sparse.rollback(BaseS);
+  Dense.rollback(BaseD);
+  const uint64_t PivotsBefore = Sparse.stats().Pivots;
+  for (int I = 0; I < 511; ++I) {
+    ASSERT_TRUE(Sparse.checkRational());
+    ASSERT_TRUE(Dense.checkRational());
+  }
+  EXPECT_EQ(Sparse.stats().Pivots, PivotsBefore);
+  EXPECT_EQ(Sparse.stats().FenceRecoveries, 0u);
+  EXPECT_EQ(Sparse.activeRule(), PivotRule::Bland);
+  ASSERT_TRUE(Sparse.checkRational());
+  EXPECT_EQ(Sparse.stats().FenceRecoveries, 1u);
+  EXPECT_FALSE(Sparse.degraded());
+  EXPECT_EQ(Sparse.activeRule(), PivotRule::SparsestRow);
 }
 
 TEST(SolveQfTest, SimpleConjunction) {

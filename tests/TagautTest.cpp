@@ -191,6 +191,24 @@ struct Mp {
   std::vector<std::pair<VarId, regex::NodePtr>> PendingRegex;
 };
 
+TEST(MpSolverTest, StartRuleFollowsPredicates) {
+  // Any position predicate puts the system's QF contexts on Bland; a bare
+  // membership + length system keeps the requested rule (SparsestRow by
+  // default, Bland when a word-equation split or a degraded retry asked
+  // for it).
+  using lia::PivotRule;
+  const std::vector<PosPredicate> None;
+  EXPECT_EQ(startRule(PivotRule::SparsestRow, None), PivotRule::SparsestRow);
+  EXPECT_EQ(startRule(PivotRule::Bland, None), PivotRule::Bland);
+  for (PredKind K : {PredKind::Diseq, PredKind::NotPrefix,
+                     PredKind::NotSuffix, PredKind::StrAtEq,
+                     PredKind::StrAtNe, PredKind::NotContains}) {
+    const std::vector<PosPredicate> One{{K, {0}, {1}, {}}};
+    EXPECT_EQ(startRule(PivotRule::SparsestRow, One), PivotRule::Bland)
+        << "predicate kind " << static_cast<int>(K);
+  }
+}
+
 TEST(MpSolverTest, TwoVarDiseqSatByLength) {
   Mp M;
   VarId X = M.var("a*"), Y = M.var("b");
@@ -328,6 +346,24 @@ TEST(MpSolverTest, StrAtEqBasic) {
   ASSERT_EQ(R.V, Verdict::Sat);
   Word Ba{M.Sigma.lookup('b').value(), M.Sigma.lookup('a').value()};
   EXPECT_EQ(R.Assignment.at(Y), Ba);
+}
+
+TEST(MpSolverTest, StrAtEqLetterInLaterLeftVariable) {
+  // x1·x2 = str.at(y, 1) — the left side a word-equation split left as
+  // two variables. y ∈ ab forces the letter b, which only x2 can hold,
+  // so the left-side sample must be allowed past Lhs[0]. Cross-checked
+  // against the bounded brute-force oracle.
+  Mp M;
+  VarId X1 = M.var("a*"), X2 = M.var("b"), Y = M.var("ab");
+  M.Preds.push_back({PredKind::StrAtEq, {X1, X2}, {Y}, lia::LinTerm(1)});
+  MpResult R = M.solve();
+  BruteForceOptions BfOpts;
+  BfOpts.MaxWordLen = 3;
+  BruteForceResult Bf = solveBruteForce(M.Langs, M.Preds, BfOpts);
+  ASSERT_EQ(Bf.V, Verdict::Sat);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_TRUE(R.Assignment.at(X1).empty());
+  EXPECT_EQ(R.Assignment.at(X2), Word{M.Sigma.lookup('b').value()});
 }
 
 TEST(MpSolverTest, StrAtEqOutOfBoundsNeedsEpsilon) {
