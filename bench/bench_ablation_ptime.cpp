@@ -57,7 +57,8 @@ void BM_OcaPath(benchmark::State &State) {
   Instance S = makeInstance(static_cast<uint32_t>(State.range(0)), 7);
   for (auto _ : State) {
     Verdict V = counter::decideSinglePredicate(S.Langs, S.Preds[0],
-                                               S.Sigma.size());
+                                               S.Sigma.size())
+                    .V;
     benchmark::DoNotOptimize(V);
   }
 }

@@ -189,6 +189,34 @@ uint64_t mbqiRep(uint32_t) {
   return Acc;
 }
 
+/// One-counter counters accumulated across the onecounter stage (emitted
+/// as `onecounter_counters`: the disjuncts the fast path decided and the
+/// (state, counter) pairs its walk searches expanded).
+struct {
+  uint64_t FastPathDecisions = 0, Expanded = 0;
+  void operator+=(const solver::SolveStats &S) {
+    FastPathDecisions += S.FastPathDecisions;
+    Expanded += S.OneCounterExpanded;
+  }
+} OneCounterCounters;
+
+uint64_t oneCounterRep(uint32_t Rep) {
+  // Footnote-10 instances through the whole solver (8 per rep, 32
+  // distinct); the lone ≠ / ¬suffixof ones without a length atom are
+  // decided by the Thm. 7.1 walk searches, which carry the stage's time.
+  uint64_t Acc = 0;
+  for (uint32_t I = 0; I < 8; ++I) {
+    strings::Problem P =
+        bench::generate(bench::Family::PositionHard, 1, 8 * (Rep % 4) + I);
+    solver::SolveOptions O;
+    O.TimeoutMs = 30000;
+    solver::SolveResult R = solver::solveProblem(P, O);
+    OneCounterCounters += R.Stats;
+    Acc = 4 * Acc + static_cast<uint64_t>(R.V);
+  }
+  return Acc;
+}
+
 } // namespace
 
 int main() {
@@ -202,6 +230,7 @@ int main() {
   Stages.push_back(runStage("solve", std::max(1u, N / 4), solveRep));
   Stages.push_back(runStage("pipeline", std::max(1u, N / 4), pipelineRep));
   Stages.push_back(runStage("mbqi", std::max(1u, N / 4), mbqiRep));
+  Stages.push_back(runStage("onecounter", N, oneCounterRep));
 
   std::string Json = "{\n  \"bench\": \"hotpath\",\n  \"scale\": " +
                      std::to_string(N) + ",\n  \"stages\": [\n";
@@ -235,7 +264,9 @@ int main() {
       "  \"selfcheck_counters\": {\"models_validated\": %llu, "
       "\"validation_failures\": %llu, \"paranoid_checks\": %llu},\n"
       "  \"proof_counters\": {\"unsats_certified\": %llu, "
-      "\"certification_failures\": %llu}\n}\n",
+      "\"certification_failures\": %llu},\n"
+      "  \"onecounter_counters\": {\"fastpath_decisions\": %llu, "
+      "\"expanded\": %llu}\n}\n",
       (unsigned long long)SolveCounters.Conflicts,
       (unsigned long long)SolveCounters.Propagations,
       (unsigned long long)SolveCounters.Decisions,
@@ -268,7 +299,9 @@ int main() {
       (unsigned long long)SelfCheckCounters.ValidationFailures,
       (unsigned long long)SelfCheckCounters.ParanoidChecks,
       (unsigned long long)SelfCheckCounters.UnsatsCertified,
-      (unsigned long long)SelfCheckCounters.CertificationFailures);
+      (unsigned long long)SelfCheckCounters.CertificationFailures,
+      (unsigned long long)OneCounterCounters.FastPathDecisions,
+      (unsigned long long)OneCounterCounters.Expanded);
   Json += Counters;
 
   std::fputs(Json.c_str(), stdout);

@@ -163,6 +163,7 @@ const std::vector<const char *> &faultSiteNames() {
       "eq.stabilize",   "tagaut.encode",    "tagaut.parikh",
       "lia.sat",        "lia.simplex",      "lia.mbqi",
       "solver.disjunct", "solver.enum",     "solver.bruteforce",
+      "counter.walk",
   };
   return Sites;
 }

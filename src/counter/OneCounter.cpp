@@ -13,78 +13,225 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
-#include <set>
+#include <memory>
 
 using namespace postr;
 using namespace postr::counter;
+using namespace postr::counter::detail;
 using namespace postr::tagaut;
 
 namespace {
 
-/// A weighted digraph with designated start/finish node sets.
-struct WeightedGraph {
-  struct Edge {
-    uint32_t From, To;
-    int64_t Weight;
-  };
-  uint32_t NumNodes = 0;
-  std::vector<Edge> Edges;
-  std::vector<bool> Start, Finish;
+/// Visited (node, offset) pairs of one walk search, offset = counter +
+/// Bound, as a paged bitmap: node N's row holds one bit per offset, cut
+/// into pages of 4096 bits, and a flat open-addressing table (linear
+/// probing, load at most 1/2) maps (node, page) to the page. Only the
+/// pages the search touches are allocated.
+class VisitedSet {
+public:
+  explicit VisitedSet(uint64_t RowBits)
+      : PagesPerRow((RowBits + PageMask) >> PageShift), Slots(1u << LogSlots) {}
 
-  uint32_t addNodes(uint32_t N) {
-    uint32_t First = NumNodes;
-    NumNodes += N;
-    Start.resize(NumNodes, false);
-    Finish.resize(NumNodes, false);
-    return First;
+  /// Marks (N, Off); true if it was unmarked.
+  bool insert(uint32_t N, uint64_t Off) {
+    uint64_t *Page = page(N * PagesPerRow + (Off >> PageShift));
+    uint64_t &Word = Page[(Off & PageMask) >> 6];
+    uint64_t Bit = 1ull << (Off & 63);
+    if (Word & Bit)
+      return false;
+    Word |= Bit;
+    return true;
   }
+
+private:
+  static constexpr unsigned PageShift = 12;
+  static constexpr uint64_t PageMask = (1ull << PageShift) - 1;
+  static constexpr size_t PageWords = (PageMask + 1) / 64;
+  static constexpr uint64_t NoKey = ~0ull;
+  struct Slot {
+    uint64_t Key = NoKey;
+    uint64_t *Page = nullptr;
+  };
+
+  size_t slotOf(uint64_t Key) const {
+    return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ull) >>
+                               (64 - LogSlots));
+  }
+
+  uint64_t *page(uint64_t Key) {
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = slotOf(Key);; I = (I + 1) & Mask) {
+      Slot &S = Slots[I];
+      if (S.Key == Key)
+        return S.Page;
+      if (S.Key != NoKey)
+        continue;
+      Pages.push_back(std::make_unique<uint64_t[]>(PageWords));
+      S = {Key, Pages.back().get()};
+      if (2 * Pages.size() > Slots.size())
+        grow();
+      return Pages.back().get();
+    }
+  }
+
+  void grow() {
+    std::vector<Slot> Old(Slots.size() * 2);
+    Old.swap(Slots);
+    ++LogSlots;
+    size_t Mask = Slots.size() - 1;
+    for (const Slot &S : Old) {
+      if (S.Key == NoKey)
+        continue;
+      size_t I = slotOf(S.Key);
+      while (Slots[I].Key != NoKey)
+        I = (I + 1) & Mask;
+      Slots[I] = S;
+    }
+  }
+
+  uint64_t PagesPerRow;
+  unsigned LogSlots = 4;
+  std::vector<Slot> Slots;
+  std::vector<std::unique_ptr<uint64_t[]>> Pages;
 };
 
-/// Nodes that lie on some start→finish walk.
-std::vector<bool> relevantNodes(const WeightedGraph &G) {
-  std::vector<std::vector<uint32_t>> Succ(G.NumNodes), Pred(G.NumNodes);
+} // namespace
+
+namespace postr::counter::detail {
+
+WalkGraph::WalkGraph(const WeightedGraph &G)
+    : NumNodes(G.NumNodes), Finish(G.Finish) {
+  // Both adjacency directions in CSR form, for the two reachability
+  // passes that find the relevant nodes (those on a start→finish walk).
+  std::vector<uint32_t> OutBegin(NumNodes + 1, 0), InBegin(NumNodes + 1, 0);
   for (const WeightedGraph::Edge &E : G.Edges) {
-    Succ[E.From].push_back(E.To);
-    Pred[E.To].push_back(E.From);
+    ++OutBegin[E.From + 1];
+    ++InBegin[E.To + 1];
+    MaxW = std::max<int64_t>(MaxW, std::llabs(E.Weight));
   }
-  auto Bfs = [&](const std::vector<bool> &Init,
-                 const std::vector<std::vector<uint32_t>> &Adj) {
+  for (uint32_t N = 0; N < NumNodes; ++N) {
+    OutBegin[N + 1] += OutBegin[N];
+    InBegin[N + 1] += InBegin[N];
+  }
+  std::vector<uint32_t> Out(G.Edges.size()), In(G.Edges.size());
+  {
+    std::vector<uint32_t> OutAt(OutBegin.begin(), OutBegin.end() - 1),
+        InAt(InBegin.begin(), InBegin.end() - 1);
+    for (const WeightedGraph::Edge &E : G.Edges) {
+      Out[OutAt[E.From]++] = E.To;
+      In[InAt[E.To]++] = E.From;
+    }
+  }
+  auto Reach = [&](const std::vector<bool> &Init,
+                   const std::vector<uint32_t> &Begin,
+                   const std::vector<uint32_t> &Adj) {
     std::vector<bool> Seen = Init;
     std::vector<uint32_t> Stack;
-    for (uint32_t N = 0; N < G.NumNodes; ++N)
+    for (uint32_t N = 0; N < NumNodes; ++N)
       if (Seen[N])
         Stack.push_back(N);
     while (!Stack.empty()) {
       uint32_t N = Stack.back();
       Stack.pop_back();
-      for (uint32_t M : Adj[N])
-        if (!Seen[M]) {
-          Seen[M] = true;
-          Stack.push_back(M);
+      for (uint32_t I = Begin[N]; I < Begin[N + 1]; ++I)
+        if (!Seen[Adj[I]]) {
+          Seen[Adj[I]] = true;
+          Stack.push_back(Adj[I]);
         }
     }
     return Seen;
   };
-  std::vector<bool> Fwd = Bfs(G.Start, Succ);
-  std::vector<bool> Bwd = Bfs(G.Finish, Pred);
-  std::vector<bool> Out(G.NumNodes);
-  for (uint32_t N = 0; N < G.NumNodes; ++N)
-    Out[N] = Fwd[N] && Bwd[N];
-  return Out;
+  std::vector<bool> Rel = Reach(G.Start, OutBegin, Out);
+  std::vector<bool> Bwd = Reach(G.Finish, InBegin, In);
+  for (uint32_t N = 0; N < NumNodes; ++N) {
+    Rel[N] = Rel[N] && Bwd[N];
+    if (!Rel[N])
+      continue;
+    ++RelCount;
+    if (G.Start[N])
+      Starts.push_back(N);
+  }
+
+  // Relevant edges grouped by source, each group in edge order (the BFS
+  // expands successors in this order).
+  SuccBegin.assign(NumNodes + 1, 0);
+  for (const WeightedGraph::Edge &E : G.Edges)
+    if (Rel[E.From] && Rel[E.To])
+      ++SuccBegin[E.From + 1];
+  for (uint32_t N = 0; N < NumNodes; ++N)
+    SuccBegin[N + 1] += SuccBegin[N];
+  Succ.resize(SuccBegin[NumNodes]);
+  std::vector<uint32_t> At(SuccBegin.begin(), SuccBegin.end() - 1);
+  for (const WeightedGraph::Edge &E : G.Edges)
+    if (Rel[E.From] && Rel[E.To])
+      Succ[At[E.From]++] = {E.To, E.Weight};
 }
 
-/// Is there a positive-weight (Sign=+1) or negative-weight (Sign=-1)
-/// cycle through relevant nodes? Bellman–Ford on the relevant subgraph.
-bool hasSignedCycle(const WeightedGraph &G, const std::vector<bool> &Rel,
-                    int Sign) {
-  // Negate weights for Sign=+1 so that "negative cycle" detection finds
-  // positive cycles.
-  std::vector<int64_t> Dist(G.NumNodes, 0);
-  for (uint32_t Round = 0; Round < G.NumNodes; ++Round) {
-    bool Changed = false;
-    for (const WeightedGraph::Edge &E : G.Edges) {
-      if (!Rel[E.From] || !Rel[E.To])
+void WalkGraph::buildSccEdges() {
+  SccBuilt = true;
+  // Iterative Tarjan over the relevant subgraph.
+  const uint32_t Unvisited = ~0u;
+  std::vector<uint32_t> Index(NumNodes, Unvisited), Low(NumNodes),
+      Comp(NumNodes, Unvisited);
+  std::vector<bool> OnStack(NumNodes, false);
+  std::vector<uint32_t> Stack;
+  std::vector<std::pair<uint32_t, uint32_t>> Call; // (node, next edge)
+  uint32_t NextIndex = 0, NumComps = 0;
+  auto Visit = [&](uint32_t N) {
+    Index[N] = Low[N] = NextIndex++;
+    Stack.push_back(N);
+    OnStack[N] = true;
+    Call.push_back({N, SuccBegin[N]});
+  };
+  for (uint32_t Root = 0; Root < NumNodes; ++Root) {
+    if (Index[Root] != Unvisited)
+      continue;
+    Visit(Root);
+    while (!Call.empty()) {
+      uint32_t N = Call.back().first;
+      if (Call.back().second < SuccBegin[N + 1]) {
+        uint32_t M = Succ[Call.back().second++].first;
+        if (Index[M] == Unvisited)
+          Visit(M);
+        else if (OnStack[M])
+          Low[N] = std::min(Low[N], Index[M]);
         continue;
+      }
+      Call.pop_back();
+      if (!Call.empty())
+        Low[Call.back().first] = std::min(Low[Call.back().first], Low[N]);
+      if (Low[N] != Index[N])
+        continue;
+      uint32_t Size = 0, M;
+      do {
+        M = Stack.back();
+        Stack.pop_back();
+        OnStack[M] = false;
+        Comp[M] = NumComps;
+        ++Size;
+      } while (M != N);
+      ++NumComps;
+      MaxSccSize = std::max(MaxSccSize, Size);
+    }
+  }
+  for (uint32_t N = 0; N < NumNodes; ++N)
+    for (uint32_t I = SuccBegin[N]; I < SuccBegin[N + 1]; ++I)
+      if (Comp[Succ[I].first] == Comp[N])
+        SccEdges.push_back({N, Succ[I].first, Succ[I].second});
+}
+
+bool WalkGraph::hasSignedCycle(int Sign) {
+  if (!SccBuilt)
+    buildSccEdges();
+  // Bellman–Ford from a virtual source reaching every node at 0, over the
+  // intra-SCC edges only. Weights are negated for Sign=+1 so that
+  // "negative cycle" detection finds positive cycles. Without such a
+  // cycle every shortest path stays inside one SCC and has fewer than
+  // MaxSccSize edges, so round MaxSccSize changes nothing.
+  std::vector<int64_t> Dist(NumNodes, 0);
+  for (uint32_t Round = 0; Round < MaxSccSize; ++Round) {
+    bool Changed = false;
+    for (const WeightedGraph::Edge &E : SccEdges) {
       int64_t W = Sign > 0 ? -E.Weight : E.Weight;
       if (Dist[E.From] + W < Dist[E.To]) {
         Dist[E.To] = Dist[E.From] + W;
@@ -94,41 +241,20 @@ bool hasSignedCycle(const WeightedGraph &G, const std::vector<bool> &Rel,
     if (!Changed)
       return false;
   }
-  return true;
+  return MaxSccSize != 0;
 }
 
-/// Does a start→finish walk with total weight satisfying \p Test exist?
-/// \p Test is one of: =0, >=1, <=-1 (encoded by Mode).
-enum class WalkMode { ExactZero, AtLeastOne, AtMostMinusOne };
-
-/// Exact decision for the monotone modes; for ExactZero a clamped BFS
-/// with a quadratic excursion bound (see file header). Returns Unknown
-/// only on budget exhaustion in the ExactZero mode.
-Verdict existsWalk(const WeightedGraph &G, WalkMode Mode,
-                   uint64_t &Budget) {
-  std::vector<bool> Rel = relevantNodes(G);
-  bool AnyRelStart = false;
-  for (uint32_t N = 0; N < G.NumNodes; ++N)
-    if (Rel[N] && G.Start[N])
-      AnyRelStart = true;
-  if (!AnyRelStart)
+Verdict WalkGraph::existsWalk(WalkMode Mode, WalkBudget &B) {
+  if (Starts.empty())
     return Verdict::Unsat;
-
-  int64_t MaxW = 1;
-  uint32_t RelCount = 0;
-  for (const WeightedGraph::Edge &E : G.Edges)
-    MaxW = std::max<int64_t>(MaxW, std::llabs(E.Weight));
-  for (uint32_t N = 0; N < G.NumNodes; ++N)
-    if (Rel[N])
-      ++RelCount;
 
   // For the monotone modes, an insertable cycle of the right sign makes
   // the target reachable as soon as any complete walk exists (which it
-  // does: AnyRelStart); otherwise all walk values are realized within
-  // the DAG-ish bound and the clamped BFS below is exact.
-  if (Mode == WalkMode::AtLeastOne && hasSignedCycle(G, Rel, +1))
+  // does: a relevant start exists); otherwise all walk values are
+  // realized within the DAG-ish bound and the clamped BFS below is exact.
+  if (Mode == WalkMode::AtLeastOne && hasSignedCycle(+1))
     return Verdict::Sat;
-  if (Mode == WalkMode::AtMostMinusOne && hasSignedCycle(G, Rel, -1))
+  if (Mode == WalkMode::AtMostMinusOne && hasSignedCycle(-1))
     return Verdict::Sat;
 
   // Clamped BFS over (node, value). For the monotone modes, cycles of the
@@ -143,23 +269,16 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode,
     Bound = static_cast<int64_t>(RelCount) * MaxW + 1;
   }
 
-  std::vector<std::vector<std::pair<uint32_t, int64_t>>> Succ(G.NumNodes);
-  for (const WeightedGraph::Edge &E : G.Edges)
-    if (Rel[E.From] && Rel[E.To])
-      Succ[E.From].push_back({E.To, E.Weight});
-
-  std::set<std::pair<uint32_t, int64_t>> Seen;
+  VisitedSet Seen(static_cast<uint64_t>(2 * Bound + 1));
   std::deque<std::pair<uint32_t, int64_t>> Queue;
-  for (uint32_t N = 0; N < G.NumNodes; ++N)
-    if (Rel[N] && G.Start[N]) {
-      Seen.insert({N, 0});
-      Queue.push_back({N, 0});
-    }
-  bool BudgetHit = false;
+  for (uint32_t N : Starts) {
+    Seen.insert(N, static_cast<uint64_t>(Bound));
+    Queue.push_back({N, 0});
+  }
   while (!Queue.empty()) {
     auto [N, V] = Queue.front();
     Queue.pop_front();
-    if (G.Finish[N]) {
+    if (Finish[N]) {
       bool Hit = false;
       switch (Mode) {
       case WalkMode::ExactZero:
@@ -175,23 +294,29 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode,
       if (Hit)
         return Verdict::Sat;
     }
-    if (Budget == 0) {
-      BudgetHit = true;
-      break;
+    if (B.NodesLeft == 0)
+      return Verdict::Unknown;
+    --B.NodesLeft;
+    if ((++B.Expanded & 1023) == 0 && B.Bud &&
+        !B.Bud->checkpoint("counter.walk")) {
+      B.Stop = B.Bud->reason();
+      return Verdict::Unknown;
     }
-    --Budget;
-    for (auto [M, W] : Succ[N]) {
+    for (uint32_t I = SuccBegin[N]; I < SuccBegin[N + 1]; ++I) {
+      auto [M, W] = Succ[I];
       int64_t V2 = V + W;
       if (V2 > Bound || V2 < -Bound)
         continue;
-      if (Seen.insert({M, V2}).second)
+      if (Seen.insert(M, static_cast<uint64_t>(V2 + Bound)))
         Queue.push_back({M, V2});
     }
   }
-  if (BudgetHit)
-    return Verdict::Unknown;
   return Verdict::Unsat;
 }
+
+} // namespace postr::counter::detail
+
+namespace {
 
 /// Occurrence multiplicity of \p Z among the first \p Count entries.
 int64_t multBefore(const std::vector<VarId> &Occs, size_t Count, VarId Z) {
@@ -350,42 +475,57 @@ bool postr::counter::isEligible(
   }
 }
 
-Verdict postr::counter::decideSinglePredicate(
+OneCounterResult postr::counter::decideSinglePredicate(
     const std::map<VarId, automata::Nfa> &Langs,
     const tagaut::PosPredicate &Pred, uint32_t Sigma,
     const OneCounterOptions &Opts) {
   assert(isEligible({Pred}) && "fast path on ineligible predicate");
+  OneCounterResult Out;
   for (const auto &[X, Nfa] : Langs) {
     (void)X;
-    if (Nfa.isEmpty())
-      return Verdict::Unsat;
+    if (Nfa.isEmpty()) {
+      Out.V = Verdict::Unsat;
+      return Out;
+    }
   }
   VarConcat Vc = buildVarConcat(Langs);
-  uint64_t Budget = Opts.NodeBudget;
+  WalkBudget B;
+  B.NodesLeft = Opts.NodeBudget;
+  B.Bud = Opts.Budget;
+  auto Done = [&](Verdict V) {
+    Out.V = V;
+    Out.Stop = B.Stop;
+    Out.Expanded = B.Expanded;
+    return Out;
+  };
 
-  // Length branch.
-  WeightedGraph LenG = buildLengthGraph(Vc, Pred);
+  // Length branch. A NodeBudget Unknown here only skips to the mismatch
+  // branch; a Budget trip ends the decision.
+  WalkGraph LenG(buildLengthGraph(Vc, Pred));
+  if (LenG.existsWalk(WalkMode::AtLeastOne, B) == Verdict::Sat)
+    return Done(Verdict::Sat);
+  if (B.Stop != StopReason::None)
+    return Done(Verdict::Unknown);
+  // ≠ also accepts |L| < |R|; ¬prefixof / ¬suffixof need |L| > |R|.
   if (Pred.Kind == tagaut::PredKind::Diseq) {
-    if (existsWalk(LenG, WalkMode::AtLeastOne, Budget) == Verdict::Sat)
-      return Verdict::Sat;
-    if (existsWalk(LenG, WalkMode::AtMostMinusOne, Budget) == Verdict::Sat)
-      return Verdict::Sat;
-  } else {
-    // ¬prefixof / ¬suffixof: |L| > |R| suffices.
-    if (existsWalk(LenG, WalkMode::AtLeastOne, Budget) == Verdict::Sat)
-      return Verdict::Sat;
+    if (LenG.existsWalk(WalkMode::AtMostMinusOne, B) == Verdict::Sat)
+      return Done(Verdict::Sat);
+    if (B.Stop != StopReason::None)
+      return Done(Verdict::Unknown);
   }
 
   // Mismatch branch, one 0-reachability query per occurrence pair.
   bool SawUnknown = false;
   for (size_t I = 0; I < Pred.Lhs.size(); ++I)
     for (size_t J = 0; J < Pred.Rhs.size(); ++J) {
-      WeightedGraph G = buildMismatchGraph(Vc, Pred, I, J, Sigma);
-      Verdict V = existsWalk(G, WalkMode::ExactZero, Budget);
+      WalkGraph G(buildMismatchGraph(Vc, Pred, I, J, Sigma));
+      Verdict V = G.existsWalk(WalkMode::ExactZero, B);
       if (V == Verdict::Sat)
-        return Verdict::Sat;
+        return Done(Verdict::Sat);
+      if (B.Stop != StopReason::None)
+        return Done(Verdict::Unknown);
       if (V == Verdict::Unknown)
         SawUnknown = true;
     }
-  return SawUnknown ? Verdict::Unknown : Verdict::Unsat;
+  return Done(SawUnknown ? Verdict::Unknown : Verdict::Unsat);
 }

@@ -184,10 +184,23 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   bool HasIntSide = !NF.IntAtoms.empty() || Approximated;
 
   // PTime fast path (Thm. 7.1): a single eligible predicate, no I part.
+  // It runs on its own child budget, so the LIA path below starts fresh.
   if (Opts.UseOcaFastPath && !HasIntSide && counter::isEligible(Preds)) {
-    Verdict V = counter::decideSinglePredicate(Langs, Preds.front(),
-                                               NF.Sigma.size());
-    if (V == Verdict::Unsat) {
+    Budget FastBud(childLimits());
+    counter::OneCounterOptions OcOpts;
+    OcOpts.Budget = &FastBud;
+    counter::OneCounterResult Oc = counter::decideSinglePredicate(
+        Langs, Preds.front(), NF.Sigma.size(), OcOpts);
+    Stats.OneCounterExpanded += Oc.Expanded;
+    // A tripped budget ends the disjunct as Unknown with the trip's
+    // reason; neither the LIA path nor a degraded retry follows.
+    if (Oc.Stop != StopReason::None) {
+      ++Stats.BudgetTrips;
+      if (StopOut == StopReason::None)
+        StopOut = Oc.Stop;
+      return Verdict::Unknown;
+    }
+    if (Oc.V == Verdict::Unsat) {
       ++Stats.FastPathDecisions;
       if (CertOut) {
         // The PTime one-counter decision (Thm. 7.1) is a trusted engine;
@@ -197,7 +210,7 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       }
       return Verdict::Unsat;
     }
-    if (V == Verdict::Sat && !Opts.BuildModel) {
+    if (Oc.V == Verdict::Sat && !Opts.BuildModel) {
       ++Stats.FastPathDecisions;
       return Verdict::Sat;
     }

@@ -113,6 +113,8 @@ struct SolveOptions {
 struct SolveStats {
   uint32_t Disjuncts = 0;
   uint32_t FastPathDecisions = 0;
+  /// (state, counter) pairs the one-counter walk searches expanded.
+  uint64_t OneCounterExpanded = 0;
   uint32_t MpCalls = 0;
   /// Disjuncts whose final answer was a budget-tripped Unknown (after
   /// any degraded retry).

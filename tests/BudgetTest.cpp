@@ -434,6 +434,25 @@ std::vector<SiteCase> siteCases() {
     return R.V;
   }});
 
+  Cases.push_back({"counter.walk", [] {
+    // xy ≠ yx over (ab)*: Unsat, decided by the one-counter fast path
+    // after tens of thousands of expanded pairs (dozens of probes).
+    strings::Problem P;
+    VarId X = P.strVar("x"), Y = P.strVar("y");
+    P.assertInRe(X, "(ab)*");
+    P.assertInRe(Y, "(ab)*");
+    P.assertDiseq({strings::StrElem::var(X), strings::StrElem::var(Y)},
+                  {strings::StrElem::var(Y), strings::StrElem::var(X)});
+    solver::SolveOptions O;
+    O.TimeoutMs = 20000;
+    solver::SolveResult R = solver::solveProblem(P, O);
+    if (R.V == Verdict::Unknown)
+      EXPECT_NE(R.Stop, StopReason::None);
+    else
+      EXPECT_EQ(R.Stats.FastPathDecisions, 1u);
+    return R.V;
+  }});
+
   return Cases;
 }
 

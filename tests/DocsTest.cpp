@@ -154,6 +154,7 @@ const std::pair<const char *, const char *> OptionStructs[] = {
     {"src/tagaut/MpSolver.h", "MpOptions"},
     {"src/tagaut/Encoder.h", "EncoderOptions"},
     {"src/eq/Stabilize.h", "StabilizeOptions"},
+    {"src/counter/OneCounter.h", "OneCounterOptions"},
 };
 
 TEST(KnobCoverageTest, EveryOptionsStructFieldIsInKnobsDoc) {

@@ -8,7 +8,7 @@
 #   2. Containment — a worker crashing mid-query (x-test-abort) and a
 #                  worker SIGKILLed from the outside both end in a
 #                  correct served verdict, never a daemon crash.
-#   3. Faults    — with POSTR_FAULT_INJECT armed at each of the 12
+#   3. Faults    — with POSTR_FAULT_INJECT armed at each of the 13
 #                  registered probe sites (faultSiteNames() in
 #                  src/base/Budget.cpp) the daemon still answers every
 #                  corpus query structurally (sat/unsat/unknown (reason))
@@ -102,7 +102,7 @@ stop_daemon "$SOCK"
 # --- 3. Fault-injection sweep: structured replies, daemon survives -------
 SITES="nfa.intersect nfa.determinize nfa.epsilon eq.stabilize
        tagaut.encode tagaut.parikh lia.sat lia.simplex lia.mbqi
-       solver.disjunct solver.enum solver.bruteforce"
+       solver.disjunct solver.enum solver.bruteforce counter.walk"
 for site in $SITES; do
   SOCK=$SOCK_DIR/fault.sock
   start_daemon "$SOCK" POSTR_FAULT_INJECT="$site:1"
